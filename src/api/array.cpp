@@ -215,13 +215,23 @@ Result<Array> Array::create_with(engine::Engine& engine,
       spared = std::make_shared<const SparedLayout>(
           layout::add_distributed_sparing(built->layout));
   } else {
-    auto b = engine.build(spec, build);
-    if (!b.ok()) return b.status();
-    built = std::move(b).value();
-    if (spare) {
-      auto s = engine.build_spared(spec, build);
-      if (!s.ok()) return s.status();
-      spared = std::move(s).value();
+    // build_best falls back down the ranking when a builder throws, and
+    // rethrows only when EVERY admitted plan threw: a builder bug that
+    // must still surface as a typed error, never escape a Result call.
+    try {
+      auto b = engine.build(spec, build);
+      if (!b.ok()) return b.status();
+      built = std::move(b).value();
+      if (spare) {
+        auto s = engine.build_spared(spec, build);
+        if (!s.ok()) return s.status();
+        spared = std::move(s).value();
+      }
+    } catch (const std::exception& e) {
+      return Status::internal(
+          "every admitted construction failed to build at v=" +
+          std::to_string(spec.num_disks) + " k=" +
+          std::to_string(spec.stripe_size) + ": " + e.what());
     }
   }
   Array array(std::move(built), std::move(spared), options.codec);

@@ -112,6 +112,19 @@ class XorCodec final : public Codec {
     xor_into(parity, delta);
   }
 
+  void update_into(std::span<std::uint8_t> out,
+                   std::span<const std::uint8_t> parity_old,
+                   std::uint32_t parity_index, std::uint32_t data_index,
+                   std::span<const std::uint8_t> data_old,
+                   std::span<const std::uint8_t> data_new) const override {
+    (void)data_index;
+    if (parity_index != 0)
+      throw std::invalid_argument("XorCodec::update_into: parity index not 0");
+    const std::span<const std::uint8_t> srcs[] = {parity_old, data_old,
+                                                  data_new};
+    xor_parity_into(out, srcs);
+  }
+
   void reconstruct(
       std::uint32_t num_data,
       std::span<const std::span<const std::uint8_t>> survivors,
@@ -171,6 +184,32 @@ class RsCodec final : public Codec {
         return;
       default:
         throw std::invalid_argument("RsCodec::update: parity index not 0/1");
+    }
+  }
+
+  void update_into(std::span<std::uint8_t> out,
+                   std::span<const std::uint8_t> parity_old,
+                   std::uint32_t parity_index, std::uint32_t data_index,
+                   std::span<const std::uint8_t> data_old,
+                   std::span<const std::uint8_t> data_new) const override {
+    switch (parity_index) {
+      case 0: {
+        // P coefficient is 1: one blocked pass over all three units.
+        const std::span<const std::uint8_t> srcs[] = {parity_old, data_old,
+                                                      data_new};
+        xor_parity_into(out, srcs);
+        return;
+      }
+      case 1: {
+        const std::span<const std::uint8_t> delta[] = {data_old, data_new};
+        xor_parity_into(out, delta);
+        gf8::mul_in_place(out, gf8::exp_alpha(data_index));
+        xor_into(out, parity_old);
+        return;
+      }
+      default:
+        throw std::invalid_argument(
+            "RsCodec::update_into: parity index not 0/1");
     }
   }
 

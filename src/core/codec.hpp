@@ -82,10 +82,23 @@ class Codec {
   /// RMW delta fold: parity ^= c_j(data_index) * delta, where delta is
   /// old_data XOR new_data and c_j is parity j's coefficient for that
   /// data unit.  Applying the same fold twice restores the parity
-  /// (characteristic 2), which is what makes RMW compensation exact.
+  /// (characteristic 2).  The stripe cache accumulates its batched
+  /// parity deltas through this form.
   virtual void update(std::span<std::uint8_t> parity,
                       std::uint32_t parity_index, std::uint32_t data_index,
                       std::span<const std::uint8_t> delta) const = 0;
+
+  /// Fused RMW parity: out = parity_old ^ c_j(data_index) * (data_old ^
+  /// data_new) -- update() without materializing the delta, so the
+  /// small write reads each old unit once.  `out` must not overlap any
+  /// input (the store computes it beside old bytes it may still need
+  /// for a rollback).
+  virtual void update_into(std::span<std::uint8_t> out,
+                           std::span<const std::uint8_t> parity_old,
+                           std::uint32_t parity_index,
+                           std::uint32_t data_index,
+                           std::span<const std::uint8_t> data_old,
+                           std::span<const std::uint8_t> data_new) const = 0;
 
   /// Reconstructs erased units from survivors.  survivors[i] holds the
   /// unit with index survivor_index[i]; erased_index lists EVERY erased

@@ -1,7 +1,5 @@
 #include "core/declustered_array.hpp"
 
-#include "engine/planner.hpp"
-
 namespace pdl::core {
 
 std::string construction_name(Construction construction) {
@@ -16,18 +14,5 @@ std::string construction_name(Construction construction) {
   }
   return "unknown";
 }
-
-// Compatibility shim: all construction selection lives in the engine's
-// ConstructionPlanner registry (src/engine/); this function only forwards
-// to the default planner.  New code should prefer pdl::api::Array (the
-// front door) or engine::Engine (memoized builds).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-std::optional<BuiltLayout> build_layout(const ArraySpec& spec,
-                                        const BuildOptions& options) {
-  return engine::ConstructionPlanner::default_planner().build_best(spec,
-                                                                   options);
-}
-#pragma GCC diagnostic pop
 
 }  // namespace pdl::core

@@ -1,17 +1,14 @@
 #pragma once
-// Top-level API: given an array size v and a parity stripe size k, choose
-// and build the best parity-declustered layout this library knows --
+// The vocabulary of layout selection: what the user asks for
+// (ArraySpec), the selection policy (BuildOptions), and what comes back
+// (BuiltLayout with its Construction provenance).  Selection itself --
 // exact BIBD-based constructions when they exist and fit the unit budget
 // (Condition 4), approximately-balanced constructions (Section 3)
-// otherwise.
-//
-// Selection is delegated to the construction-engine registry in
-// src/engine/ (engine::ConstructionPlanner); build_layout is a thin,
-// uncached shim kept for compatibility.  New code should prefer
-// engine::Engine, which memoizes builds, and layout::CompiledMapper for
-// the serving path.
+// otherwise -- lives in the construction-engine registry in src/engine/
+// (engine::ConstructionPlanner, memoized by engine::Engine).
+// Applications should start at pdl::api::Array, which wraps an engine
+// build with layout::CompiledMapper serving tables.
 
-#include <optional>
 #include <string>
 
 #include "layout/feasibility.hpp"
@@ -57,19 +54,5 @@ struct BuiltLayout {
   std::string description;        ///< e.g. "stairway q=81 c=5 w=5"
   layout::LayoutMetrics metrics;  ///< measured, not predicted
 };
-
-/// Builds the best layout for the spec under the options, or nullopt if no
-/// construction fits the budget.  "Best" = smallest units-per-disk among
-/// those with the strongest balance guarantees available:
-/// perfectly-balanced routes are preferred when they fit, then single-copy
-/// flow-balanced BIBD routes, then approximate routes.
-///
-/// Deprecated: prefer pdl::api::Array::create (the full front door) or
-/// engine::Engine::build (memoized, Result-returning).  This uncached
-/// shim remains for one release.
-[[deprecated(
-    "use pdl::api::Array::create or engine::Engine::build")]] [[nodiscard]]
-std::optional<BuiltLayout> build_layout(const ArraySpec& spec,
-                                        const BuildOptions& options = {});
 
 }  // namespace pdl::core

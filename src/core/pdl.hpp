@@ -13,8 +13,7 @@
 //   auto plan = array->plan_rebuild();
 //
 // Lower layers (engine::Engine for raw plans/builds, layout::CompiledMapper
-// for standalone tables) remain available; the old nullptr-returning entry
-// points survive only as deprecated shims.
+// for standalone tables) remain available.
 
 #include "algebra/gf.hpp"
 #include "algebra/numtheory.hpp"

@@ -16,9 +16,10 @@
 //     given policy (e.g. nothing fits the unit budget).
 //   * kDataLoss: the addressed data is unrecoverable (a stripe lost more
 //     units than its codec tolerates).
-//   * kParityInconsistent: the stripe's redundancy is torn (a compensating
-//     write failed mid-RMW); the data units still hold bytes, but parity
-//     cannot be trusted until the stripe is re-encoded.
+//   * kParityInconsistent: the stripe's redundancy is torn (a rollback
+//     write failed after a partial stripe write); the data units still
+//     hold bytes, but parity cannot be trusted until the stripe is
+//     re-encoded.
 //   * kChecksumMismatch: a stored unit failed per-unit checksum
 //     verification and could not be reconstructed from redundancy (rot
 //     plus existing erasures exceeded the codec's tolerance).

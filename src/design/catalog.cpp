@@ -1,5 +1,6 @@
 #include "design/catalog.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "algebra/numtheory.hpp"
@@ -25,8 +26,17 @@ std::optional<DesignParams> predicted_params(Method method, std::uint32_t v,
                                              std::uint32_t k) {
   if (v < 2 || k < 2 || k > v) return std::nullopt;
   switch (method) {
-    case Method::kComplete:
-      return complete_design_params(v, k);
+    case Method::kComplete: {
+      // A saturated binomial (b or r at UINT64_MAX) is no design size:
+      // every count derived from it would wrap, so the complete design
+      // does not apply -- as summarize_feasibility's complete_hg rules.
+      const DesignParams params = complete_design_params(v, k);
+      constexpr std::uint64_t kSaturated =
+          std::numeric_limits<std::uint64_t>::max();
+      if (params.b == kSaturated || params.r == kSaturated)
+        return std::nullopt;
+      return params;
+    }
     case Method::kRing:
       if (!ring_design_exists(v, k)) return std::nullopt;
       return ring_design_params(v, k);

@@ -9,8 +9,7 @@
 //   auto built = engine.build({.num_disks = 33, .stripe_size = 5});
 //   if (built.ok()) { ... (*built)->layout ... }
 //
-// Engine::build/build_spared return pdl::Result; the nullptr-returning
-// forms survive as deprecated *_or_null shims for one release.
+// Engine::build/build_spared return pdl::Result.
 
 #include <memory>
 
@@ -53,20 +52,6 @@ class Engine {
     return cache_.get_spared(spec, options);
   }
 
-  /// Deprecated nullptr-returning forms of build()/build_spared():
-  /// nullptr when no construction fits, std::invalid_argument for
-  /// invalid specs.
-  [[deprecated("use build(), which returns Result")]] [[nodiscard]]
-  std::shared_ptr<const core::BuiltLayout> build_or_null(
-      const core::ArraySpec& spec, const core::BuildOptions& options = {}) {
-    return unwrap_or_null(build(spec, options));
-  }
-  [[deprecated("use build_spared(), which returns Result")]] [[nodiscard]]
-  std::shared_ptr<const layout::SparedLayout> build_spared_or_null(
-      const core::ArraySpec& spec, const core::BuildOptions& options = {}) {
-    return unwrap_or_null(build_spared(spec, options));
-  }
-
   /// Candidate plans for a spec, ranked best-first (uncached; planning is
   /// closed-form and cheap).
   [[nodiscard]] std::vector<LayoutPlan> rank_plans(
@@ -79,15 +64,6 @@ class Engine {
   [[nodiscard]] static Engine& global();
 
  private:
-  template <typename T>
-  [[nodiscard]] static std::shared_ptr<T> unwrap_or_null(
-      Result<std::shared_ptr<T>> result) {
-    if (result.ok()) return std::move(result).value();
-    if (result.status().code() == StatusCode::kInvalidArgument)
-      throw std::invalid_argument(result.status().message());
-    return nullptr;
-  }
-
   const ConstructionPlanner& planner_;
   LayoutCache cache_;
 };

@@ -87,27 +87,6 @@ std::shared_ptr<const layout::SparedLayout> LayoutCache::get_spared_impl(
   return it->second;
 }
 
-// Out-of-line definitions of the deprecated shims; the pragma silences the
-// self-referential deprecation warning some compilers emit for them.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-std::shared_ptr<const core::BuiltLayout> LayoutCache::get_or_null(
-    const core::ArraySpec& spec, const core::BuildOptions& options) {
-  if (Status domain = validate_spec(spec); !domain.ok())
-    throw std::invalid_argument("LayoutCache::get_or_null: " +
-                                domain.message());
-  return get_impl(spec, options, /*count_stats=*/true);
-}
-
-std::shared_ptr<const layout::SparedLayout> LayoutCache::get_spared_or_null(
-    const core::ArraySpec& spec, const core::BuildOptions& options) {
-  if (Status domain = validate_spec(spec); !domain.ok())
-    throw std::invalid_argument("LayoutCache::get_spared_or_null: " +
-                                domain.message());
-  return get_spared_impl(spec, options);
-}
-#pragma GCC diagnostic pop
-
 LayoutCache::Stats LayoutCache::stats() const {
   std::lock_guard lock(mutex_);
   return {hits_, misses_, cache_.size() + spared_cache_.size()};

@@ -51,15 +51,6 @@ class LayoutCache {
   get_spared(const core::ArraySpec& spec,
              const core::BuildOptions& options = {});
 
-  /// Deprecated nullptr-returning forms of get()/get_spared(): nullptr
-  /// when no construction fits, std::invalid_argument for invalid specs.
-  [[deprecated("use get(), which returns Result")]] [[nodiscard]]
-  std::shared_ptr<const core::BuiltLayout> get_or_null(
-      const core::ArraySpec& spec, const core::BuildOptions& options = {});
-  [[deprecated("use get_spared(), which returns Result")]] [[nodiscard]]
-  std::shared_ptr<const layout::SparedLayout> get_spared_or_null(
-      const core::ArraySpec& spec, const core::BuildOptions& options = {});
-
   /// Each public get*/get_spared call counts as exactly one hit or miss
   /// against its own cache; entries spans both maps.
   struct Stats {

@@ -1,6 +1,6 @@
 #pragma once
 // The pluggable layout-construction engine: the selection machinery behind
-// core::build_layout.
+// engine::Engine and api::Array::create.
 //
 // Each construction this library knows (RAID5, ring, the BIBD routes, disk
 // removal, stairway) is wrapped in a self-describing LayoutBuilder with two

@@ -9,10 +9,11 @@
 /// coordinates and never sees vectors, file descriptors, or sockets.
 /// Three implementations ship in-tree:
 ///
-///   * MemoryBackend         -- one heap buffer per disk (the PR-4
-///                              behaviour); exposes zero-copy views, so
-///                              the store's hot path stays allocation-
-///                              and syscall-free;
+///   * MemoryBackend         -- one heap buffer per disk; exposes
+///                              zero-copy views, so the store's gathers
+///                              (reads, degraded decodes, small-write
+///                              pre-images, rebuild survivors) copy
+///                              nothing;
 ///   * FileBackend           -- one file per disk driven with
 ///                              pread/pwrite, surviving close + reopen
 ///                              (contents persist, parity-consistent);
@@ -178,7 +179,11 @@ class DiskBackend {
   /// byte image, resident and addressable for the backend's lifetime
   /// (memory and future mmap backends).  Empty means "use read/write".
   /// A backend must answer uniformly -- all disks or none -- and a
-  /// decorator that intercepts I/O must return empty.
+  /// decorator that intercepts I/O must return empty.  A backend that
+  /// exposes views must never fail an in-range write: StripeStore reads
+  /// a transaction's old bytes straight from the view and commits over
+  /// them, so it could not roll a partly failed batch back from those
+  /// bytes.
   [[nodiscard]] virtual std::span<std::uint8_t> memory_view(
       DiskId disk) noexcept {
     (void)disk;
@@ -265,8 +270,9 @@ class DiskBackend {
 // ---------------------------------------------------------------- memory
 
 /// Heap-resident substrate: one zero-initialized buffer per disk.
-/// Exposes memory_view, so StripeStore serves straight out of the
-/// buffers with no copies or syscalls.  Not persistent.
+/// Exposes memory_view, so StripeStore's gathers read straight out of
+/// the buffers with no copy; its commits arrive as write() calls, which
+/// cannot fail in range (the memory_view contract).  Not persistent.
 class MemoryBackend final : public DiskBackend {
  public:
   MemoryBackend() = default;
@@ -437,8 +443,8 @@ struct FaultInjectionOptions {
   /// WRITE counter; the Nth write() fails with kIoError before touching
   /// the inner backend.  Exact -- independent of the seed and of every
   /// probability above -- which is what lets a test force a precise
-  /// partial-stripe-write interleaving (e.g. "parity landed, data
-  /// failed, and the compensating rewrite failed too"): the base
+  /// partial-stripe-write interleaving (e.g. "data landed, parity
+  /// failed, and the rollback rewrite failed too"): the base
   /// execute_batch executes its requests strictly in order, so in-batch
   /// write ordinals are deterministic.
   std::vector<std::uint64_t> fail_write_ops = {};

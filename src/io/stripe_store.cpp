@@ -28,24 +28,19 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ull;
   return hash;
 }
 
-/// Per-thread staging buffers for the backend (no-view) paths, so the
-/// serving hot loop stays allocation-free after warm-up.  Index selects
-/// one of two independent buffers (some paths need a pair).
-[[nodiscard]] std::span<std::uint8_t> scratch(std::size_t which,
-                                              std::size_t size) {
-  thread_local std::vector<std::uint8_t> buffers[2];
-  auto& buffer = buffers[which];
+/// The first `size` bytes of a grow-only buffer: reuse never shrinks it,
+/// so only growth allocates (and zero-fills).
+[[nodiscard]] std::span<std::uint8_t> grow(std::vector<std::uint8_t>& buffer,
+                                           std::size_t size) {
   if (buffer.size() < size) buffer.resize(size);
   return {buffer.data(), size};
 }
 
-/// Per-thread arena for the batched fan-in paths: one contiguous block
-/// the caller carves into unit-sized slices (survivor sets, rebuild
-/// waves).  Grow-only, independent of scratch(), so a path may use both.
-[[nodiscard]] std::span<std::uint8_t> arena(std::size_t size) {
-  thread_local std::vector<std::uint8_t> buffer;
-  if (buffer.size() < size) buffer.resize(size);
-  return {buffer.data(), size};
+/// Unit `i` of a buffer of back-to-back units.
+[[nodiscard]] std::span<std::uint8_t> unit_slice(std::span<std::uint8_t> buf,
+                                                 std::size_t i,
+                                                 std::uint32_t unit_bytes) {
+  return buf.subspan(i * unit_bytes, unit_bytes);
 }
 
 /// Decodes erased_index[0]'s bytes into `out` from gathered survivor
@@ -72,6 +67,265 @@ void decode_unit(const core::Codec& codec, std::uint32_t num_data,
 }
 
 }  // namespace
+
+// ------------------------------------------------- the stripe transaction
+
+/// One stripe transaction's working set.  The vectors live in a slot of
+/// a thread-local pool that each live Txn on a thread holds exclusively:
+/// transactions that nest (a write's absorb folding inline, a staged
+/// rebuild healing a rotten survivor) never share a buffer, and a
+/// thread's vectors only ever grow, so steady-state transactions --
+/// rebuild's multi-MiB staging included -- allocate and zero-fill
+/// nothing.
+struct StripeStore::Txn {
+  struct Buffers {
+    std::vector<Physical> units;       ///< queued for, then read by, gather
+    std::vector<std::uint32_t> index;  ///< codec index per unit (decoders)
+    std::vector<std::span<const std::uint8_t>> bytes;  ///< per unit
+    /// Per-unit gather outcome; left empty when every unit succeeded,
+    /// so the happy path constructs no Status per unit.
+    std::vector<Status> status;
+    std::vector<IoRequest> requests;   ///< gather reads, then commit writes
+    std::vector<IoRequest> undo;       ///< a failed commit's rollback
+    /// Commit queue: (gathered unit, new bytes), in write order.
+    std::vector<std::pair<std::uint32_t, std::span<const std::uint8_t>>>
+        writes;
+    std::vector<std::array<std::uint8_t, 4>> words;  ///< staged CRC words
+    std::vector<std::uint8_t> staging;  ///< gathered bytes without views
+    std::vector<std::uint8_t> scratch;  ///< bytes the transaction computes
+  };
+
+  explicit Txn(std::uint32_t unit_bytes)
+      : unit_bytes(unit_bytes), buf(acquire()) {
+    buf.units.clear();
+    buf.index.clear();
+    buf.writes.clear();
+  }
+  ~Txn() { --depth(); }
+  Txn(const Txn&) = delete;
+  Txn& operator=(const Txn&) = delete;
+
+  /// Queues a unit for the next gather, with its codec index when a
+  /// decode will need it.  Units keep their queue order.
+  void add(Physical unit, std::uint32_t codec_index = 0) {
+    buf.units.push_back(unit);
+    buf.index.push_back(codec_index);
+  }
+  [[nodiscard]] std::uint32_t size() const noexcept {
+    return static_cast<std::uint32_t>(buf.units.size());
+  }
+  [[nodiscard]] Physical unit(std::size_t i) const { return buf.units[i]; }
+  /// Unit i's gathered bytes: valid until the transaction commits (a
+  /// view backend's spans then show the new bytes).
+  [[nodiscard]] std::span<const std::uint8_t> bytes(std::size_t i) const {
+    return buf.bytes[i];
+  }
+  /// Gathered bytes of units [first, first + count), for a codec call.
+  [[nodiscard]] std::span<const std::span<const std::uint8_t>> bytes(
+      std::size_t first, std::size_t count) const {
+    return {buf.bytes.data() + first, count};
+  }
+  [[nodiscard]] const Status& status(std::size_t i) const {
+    static const Status ok;
+    return buf.status.empty() ? ok : buf.status[i];
+  }
+  /// `count` back-to-back unit slices for computed bytes.  Repeated calls
+  /// with the same count return the same bytes; a larger count may move
+  /// them.
+  [[nodiscard]] std::span<std::uint8_t> scratch(std::size_t count) {
+    return grow(buf.scratch, count * unit_bytes);
+  }
+  /// Queues gathered unit i to take `bytes` at commit (which writes the
+  /// queue in order).
+  void write(std::uint32_t i, std::span<const std::uint8_t> bytes) {
+    buf.writes.emplace_back(i, bytes);
+  }
+  /// Reports the transaction in a write receipt: every gathered unit as
+  /// read, every committed unit as written.
+  void report(WriteReceipt* receipt) const {
+    if (!receipt) return;
+    receipt->num_reads = size();
+    std::copy(buf.units.begin(), buf.units.end(), receipt->reads.begin());
+    receipt->num_writes = static_cast<std::uint32_t>(buf.writes.size());
+    for (std::size_t k = 0; k < buf.writes.size(); ++k)
+      receipt->writes[k] = buf.units[buf.writes[k].first];
+  }
+
+  const std::uint32_t unit_bytes;
+  Buffers& buf;
+
+ private:
+  static std::size_t& depth() {
+    thread_local std::size_t live = 0;
+    return live;
+  }
+  static Buffers& acquire() {
+    thread_local std::vector<std::unique_ptr<Buffers>> pool;
+    std::size_t& live = depth();
+    if (pool.size() == live) pool.push_back(std::make_unique<Buffers>());
+    return *pool[live++];
+  }
+};
+
+/// One logical unit of a read: its plan and where its units sit in the
+/// read's transaction.
+struct StripeStore::ReadSlot {
+  api::ReadPlan plan;
+  std::uint32_t first = 0;  ///< the plan's first unit in the transaction
+  std::uint32_t heat = 0;   ///< hotness estimate, for fill-on-miss
+  bool gathered = false;    ///< waits on the gather (no hit, no failure)
+};
+
+Status StripeStore::gather(Txn& txn, IoClass io_class, bool verify) {
+  Txn::Buffers& buf = txn.buf;
+  const std::size_t n = buf.units.size();
+  buf.bytes.resize(n);
+  buf.status.clear();
+  const auto fail = [&](std::size_t i, Status status) {
+    if (buf.status.empty()) buf.status.resize(n);
+    buf.status[i] = std::move(status);
+  };
+  if (!views_.empty()) {
+    for (std::size_t i = 0; i < n; ++i)
+      buf.bytes[i] = views_[buf.units[i].disk].subspan(
+          static_cast<std::size_t>(byte_offset(buf.units[i].offset)),
+          unit_bytes_);
+  } else if (n > 0) {
+    // ONE batched submission fans every read out to its disk (an async
+    // backend serves them concurrently).
+    const auto staging = grow(buf.staging, n * unit_bytes_);
+    buf.requests.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto slice = unit_slice(staging, i, unit_bytes_);
+      buf.requests.push_back(
+          IoRequest::read_of(io_class, buf.units[i].disk,
+                             byte_offset(buf.units[i].offset), slice));
+      buf.bytes[i] = slice;
+    }
+    (void)backend_->execute_batch(buf.requests);
+    for (std::size_t i = 0; i < n; ++i)
+      if (!buf.requests[i].status.ok())
+        fail(i, std::move(buf.requests[i].status));
+  }
+  if (verify && integrity_)
+    for (std::size_t i = 0; i < n; ++i)
+      if (txn.status(i).ok() && !verify_unit_crc(buf.units[i], buf.bytes[i]))
+        fail(i, Status::checksum_mismatch(
+                    "unit (disk " + std::to_string(buf.units[i].disk) +
+                    ", unit " + std::to_string(buf.units[i].offset) +
+                    ") failed CRC32C verification"));
+  for (const Status& status : buf.status)
+    if (!status.ok()) return status;
+  return OkStatus();
+}
+
+void StripeStore::stage_crc_words(Txn& txn, IoClass io_class) {
+  if (!integrity_) return;
+  Txn::Buffers& buf = txn.buf;
+  const std::size_t n = buf.requests.size();
+  buf.words.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::uint32_t crc = core::crc32c_nonzero(buf.requests[k].write_buf);
+    std::memcpy(buf.words[k].data(), &crc, 4);
+    const DiskId disk = buf.requests[k].disk;
+    const std::uint64_t unit = buf.requests[k].offset / unit_bytes_;
+    buf.requests.push_back(IoRequest::write_of(io_class, disk,
+                                             crc_media_offset(unit),
+                                             buf.words[k]));
+  }
+}
+
+void StripeStore::record_crc_words(const Txn& txn) {
+  if (!integrity_) return;
+  const Txn::Buffers& buf = txn.buf;
+  for (std::size_t k = 0; k < buf.words.size(); ++k) {
+    std::uint32_t crc = 0;
+    std::memcpy(&crc, buf.words[k].data(), 4);
+    crc_[buf.requests[k].disk][buf.requests[k].offset / unit_bytes_] = crc;
+  }
+}
+
+Status StripeStore::commit(Txn& txn, std::uint64_t instance,
+                           IoClass io_class) {
+  Txn::Buffers& buf = txn.buf;
+  const std::size_t n = buf.writes.size();
+  std::vector<IoRequest>& batch = buf.requests;
+  batch.clear();
+  for (const auto& [i, bytes] : buf.writes)
+    batch.push_back(IoRequest::write_of(io_class, buf.units[i].disk,
+                                        byte_offset(buf.units[i].offset),
+                                        bytes));
+  stage_crc_words(txn, io_class);
+  const Status stored = execute_batch_journaled(batch);
+  // Landed bytes invalidate concurrently staged rebuild reads; a commit
+  // that then rolls back bumps too, which only costs a retry.
+  sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
+  if (stored.ok()) {
+    record_crc_words(txn);
+    return OkStatus();
+  }
+
+  // The writes are concurrent, so ANY subset may have landed.  Roll each
+  // landed unit back to its gathered old bytes and each landed CRC word
+  // to its cached (pre-commit) value: the stripe returns to the
+  // consistent pre-commit state and a caller retry is safe.  The CRC
+  // words are best-effort -- a stale media word only costs a
+  // reopen-time heal.  Nothing landed needs nothing.
+  std::vector<IoRequest>& undo = buf.undo;
+  undo.clear();
+  for (std::size_t k = 0; k < n; ++k)
+    if (batch[k].status.ok())
+      undo.push_back(IoRequest::write_of(io_class, batch[k].disk,
+                                         batch[k].offset,
+                                         buf.bytes[buf.writes[k].first]));
+  const std::size_t units_undone = undo.size();
+  if (integrity_)
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!batch[n + k].status.ok()) continue;
+      const Physical p = buf.units[buf.writes[k].first];
+      std::memcpy(buf.words[k].data(), &crc_[p.disk][p.offset], 4);
+      undo.push_back(IoRequest::write_of(io_class, p.disk,
+                                         crc_media_offset(p.offset),
+                                         buf.words[k]));
+    }
+  if (!undo.empty()) (void)backend_->execute_batch(undo);
+  for (std::size_t r = 0; r < units_undone; ++r) {
+    if (undo[r].status.ok()) continue;
+    // The rollback ALSO failed: parity and data now disagree on disk and
+    // nothing in the stripe says so.  Record the tear so parity-trusting
+    // paths (degraded reads, rebuild decodes) refuse the instance until
+    // a heal re-encodes it.
+    mark_torn(instance);
+    return Status::parity_inconsistent(
+        "rollback failed after a partial stripe write (" +
+        undo[r].status.message() + "); stripe instance marked parity-torn");
+  }
+  return stored;
+}
+
+Status StripeStore::execute_batch_journaled(std::span<IoRequest> batch) {
+  if (!backend_->journaled()) return backend_->execute_batch(batch);
+  auto token = backend_->journal_begin(batch);
+  if (!token.ok()) {
+    // kUnsupported (no writes, record too big) degrades to the plain
+    // unjournaled batch; a real journal failure aborts before any
+    // in-place write starts.
+    if (token.status().code() == StatusCode::kUnsupported)
+      return backend_->execute_batch(batch);
+    return token.status();
+  }
+  const Status executed = backend_->execute_batch(batch);
+  // Retire the record on EVERY exit: on success the writes are all
+  // in place; on partial failure the commit rolls back to the
+  // pre-write image -- either way the record must not replay over the
+  // state this call reports.  A crash BETWEEN the in-place writes and
+  // this retire replays the full record, which is exactly the
+  // consistent post-image.
+  (void)backend_->journal_commit(*token);
+  return executed;
+}
+
+// ------------------------------------------------------------- lifecycle
 
 StripeStore::StripeStore(api::Array array, const StripeStoreOptions& options,
                          std::unique_ptr<DiskBackend> backend)
@@ -133,14 +387,9 @@ Result<StripeStore> StripeStore::create(api::Array array,
     store.crc_.resize(geometry.num_disks);
     std::vector<std::uint8_t> raw(units * 4);
     for (DiskId disk = 0; disk < geometry.num_disks; ++disk) {
-      if (!store.views_.empty()) {
-        std::memcpy(raw.data(),
-                    store.views_[disk].data() + store.crc_base_, units * 4);
-      } else if (Status read = store.backend_->read(
-                     disk, store.crc_base_, {raw.data(), raw.size()});
-                 !read.ok()) {
+      if (Status read = store.backend_->read(disk, store.crc_base_, raw);
+          !read.ok())
         return read;
-      }
       store.crc_[disk].resize(units);
       std::memcpy(store.crc_[disk].data(), raw.data(), units * 4);
     }
@@ -186,40 +435,6 @@ bool StripeStore::parity_torn(std::uint32_t stripe,
   return is_torn(stripe + iteration * array_.num_stripes());
 }
 
-// ------------------------------------------------------- unit primitives
-
-Status StripeStore::load_unit(Physical p, std::span<std::uint8_t> out) {
-  if (const auto view = unit_view(p); !view.empty()) {
-    std::memcpy(out.data(), view.data(), unit_bytes_);
-    return OkStatus();
-  }
-  return backend_->read(p.disk, byte_offset(p.offset), out);
-}
-
-Status StripeStore::xor_unit_into(Physical p, std::span<std::uint8_t> acc,
-                                  std::span<std::uint8_t> staging) {
-  if (const auto view = unit_view(p); !view.empty()) {
-    core::xor_into(acc, view);
-    return OkStatus();
-  }
-  if (Status read = backend_->read(p.disk, byte_offset(p.offset), staging);
-      !read.ok())
-    return read;
-  core::xor_into(acc, staging);
-  return OkStatus();
-}
-
-Status StripeStore::store_unit(Physical p,
-                               std::span<const std::uint8_t> data) {
-  if (const auto view = unit_view(p); !view.empty()) {
-    std::memcpy(view.data(), data.data(), unit_bytes_);
-    return OkStatus();
-  }
-  return backend_->write(p.disk, byte_offset(p.offset), data);
-}
-
-// ---------------------------------------------------- integrity internals
-
 bool StripeStore::verify_unit_crc(Physical p,
                                   std::span<const std::uint8_t> bytes) {
   if (!integrity_) return true;
@@ -231,76 +446,6 @@ bool StripeStore::verify_unit_crc(Physical p,
   }
   sync_->crc_mismatches.fetch_add(1, std::memory_order_relaxed);
   return false;
-}
-
-Status StripeStore::crc_persist(Physical p) {
-  if (!integrity_) return OkStatus();
-  const std::uint32_t value = crc_[p.disk][p.offset];
-  std::array<std::uint8_t, 4> word;
-  std::memcpy(word.data(), &value, 4);
-  if (!views_.empty()) {
-    std::memcpy(views_[p.disk].data() + crc_media_offset(p.offset),
-                word.data(), 4);
-    return OkStatus();
-  }
-  return backend_->write(p.disk, crc_media_offset(p.offset), word);
-}
-
-Status StripeStore::set_fresh_crc(Physical p,
-                                  std::span<const std::uint8_t> bytes) {
-  if (!integrity_) return OkStatus();
-  crc_[p.disk][p.offset] = core::crc32c_nonzero(bytes);
-  return crc_persist(p);
-}
-
-std::uint32_t StripeStore::stage_crc_writes(
-    std::span<IoRequest> requests, std::uint32_t count,
-    std::span<std::array<std::uint8_t, 4>> staging) {
-  if (!integrity_) return count;
-  std::uint32_t total = count;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const IoRequest& w = requests[i];
-    const std::uint64_t unit = w.offset / unit_bytes_;
-    const std::uint32_t crc = core::crc32c_nonzero(w.write_buf);
-    std::memcpy(staging[i].data(), &crc, 4);
-    requests[total++] = IoRequest::write_of(w.io_class, w.disk,
-                                            crc_media_offset(unit),
-                                            staging[i]);
-  }
-  return total;
-}
-
-void StripeStore::commit_staged_crcs(
-    std::span<const IoRequest> units,
-    std::span<const std::array<std::uint8_t, 4>> staging) {
-  if (!integrity_) return;
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    std::uint32_t crc = 0;
-    std::memcpy(&crc, staging[i].data(), 4);
-    crc_[units[i].disk][units[i].offset / unit_bytes_] = crc;
-  }
-}
-
-Status StripeStore::execute_batch_journaled(std::span<IoRequest> batch) {
-  if (!backend_->journaled()) return backend_->execute_batch(batch);
-  auto token = backend_->journal_begin(batch);
-  if (!token.ok()) {
-    // kUnsupported (no writes, record too big) degrades to the plain
-    // unjournaled batch; a real journal failure aborts before any
-    // in-place write starts.
-    if (token.status().code() == StatusCode::kUnsupported)
-      return backend_->execute_batch(batch);
-    return token.status();
-  }
-  const Status executed = backend_->execute_batch(batch);
-  // Retire the record on EVERY exit: on success the writes are all
-  // in place; on partial failure the caller compensates back to the
-  // pre-write image -- either way the record must not replay over the
-  // state this call reports.  A crash BETWEEN the in-place writes and
-  // this retire replays the full record, which is exactly the
-  // consistent post-image.
-  (void)backend_->journal_commit(*token);
-  return executed;
 }
 
 // -------------------------------------------------------------- data path
@@ -322,7 +467,11 @@ Status StripeStore::read(std::uint64_t logical, std::span<std::uint8_t> out,
     Status served;
     {
       std::shared_lock stripe(shard_for(logical));
-      served = read_locked(logical, out, receipt);
+      ReadSlot slot;
+      (void)read_locked({&logical, 1}, out, {&served, 1},
+                        receipt ? std::span<ReadReceipt>(receipt, 1)
+                                : std::span<ReadReceipt>(),
+                        {&slot, 1});
     }
     if (served.code() != StatusCode::kChecksumMismatch || attempt > 0)
       return served;
@@ -337,183 +486,144 @@ Status StripeStore::read(std::uint64_t logical, std::span<std::uint8_t> out,
   }
 }
 
-Status StripeStore::read_locked(std::uint64_t logical,
+Status StripeStore::read_locked(std::span<const std::uint64_t> logicals,
                                 std::span<std::uint8_t> out,
-                                ReadReceipt* receipt) {
+                                std::span<Status> statuses,
+                                std::span<ReadReceipt> receipts,
+                                std::span<ReadSlot> slots) {
+  const auto out_slice = [&](std::size_t i) {
+    return unit_slice(out, i, unit_bytes_);
+  };
+  Status first;
+  const auto fail = [&](std::size_t i, Status status) {
+    statuses[i] = std::move(status);
+    if (first.ok()) first = statuses[i];
+  };
+
+  // Plan phase: resolve every unit, serve cache hits, and queue direct
+  // targets and degraded survivor sets on ONE transaction.
+  Txn txn(unit_bytes_);
   std::array<Physical, 64> survivors;
   std::array<std::uint32_t, 64> survivor_idx;
-  const auto plan = array_.locate(
-      logical, survivors, {survivor_idx.data(), survivor_idx.size()});
-  if (!plan.ok()) return plan.status();
-
-  switch (plan->kind) {
-    case api::ReadPlan::Kind::kDirect: {
-      if (cache_) {
-        const std::uint64_t instance = instance_of(logical);
-        const std::uint32_t heat = cache_->note(instance);
-        // Read-your-writes: an absorbed (not yet folded) write's pinned
-        // bytes are the unit's current value; media is one fold behind.
+  for (std::size_t i = 0; i < logicals.size(); ++i) {
+    ReadSlot& slot = slots[i];
+    statuses[i] = OkStatus();
+    if (!receipts.empty()) {
+      receipts[i].kind = api::ReadPlan::Kind::kUnrecoverable;
+      receipts[i].num_touched = 0;
+    }
+    if (logicals[i] >= num_logical_units()) {
+      fail(i, Status::out_of_range(
+                  "logical " + std::to_string(logicals[i]) +
+                  " past the address space (" +
+                  std::to_string(num_logical_units()) + " units)"));
+      continue;
+    }
+    const auto plan =
+        array_.locate(logicals[i], survivors,
+                      {survivor_idx.data(), survivor_idx.size()});
+    if (!plan.ok()) {
+      fail(i, plan.status());
+      continue;
+    }
+    slot.plan = *plan;
+    const bool degraded = plan->kind == api::ReadPlan::Kind::kDegraded;
+    const std::uint64_t instance =
+        degraded || cache_ ? instance_of(logicals[i]) : 0;
+    if (plan->kind == api::ReadPlan::Kind::kUnrecoverable) {
+      fail(i, Status::data_loss("logical " + std::to_string(logicals[i]) +
+                                " is on a stripe that lost more units than "
+                                "its codec tolerates"));
+      continue;
+    }
+    if (degraded && is_torn(instance)) {
+      fail(i, Status::parity_inconsistent(
+                  "logical " + std::to_string(logicals[i]) +
+                  " needs degraded reconstruction, but its stripe instance "
+                  "is parity-torn (a prior write's rollback failed)"));
+      continue;
+    }
+    if (cache_) {
+      slot.heat = cache_->note(instance);
+      bool hit = false;
+      // Read-your-writes: an absorbed (not yet folded) write's pinned
+      // bytes are the unit's current value; media is one fold behind.
+      // (Dirty instances are never degraded -- fail_disk flushes the
+      // table first -- so only direct reads check the pins.)
+      if (plan->kind == api::ReadPlan::Kind::kDirect)
         if (StripeCache::DirtyEntry* entry = cache_->dirty_find(instance))
-          if (const StripeCache::DirtyUnit* unit = entry->find(logical)) {
-            std::memcpy(out.data(), unit->bytes.data(), unit_bytes_);
+          if (const StripeCache::DirtyUnit* unit = entry->find(logicals[i])) {
+            std::memcpy(out_slice(i).data(), unit->bytes.data(), unit_bytes_);
             cache_->count_hit();
-            if (receipt) {
-              receipt->kind = plan->kind;
-              receipt->num_touched = 0;
-            }
-            return OkStatus();
+            hit = true;
           }
-        if (cache_->lookup(logical, out)) {
-          // Cached payloads were CRC-verified at fill and invalidated
-          // on every write -- serving them touches no disk.
-          if (receipt) {
-            receipt->kind = plan->kind;
-            receipt->num_touched = 0;
-          }
-          return OkStatus();
-        }
-        if (Status loaded = load_unit(plan->target, out); !loaded.ok())
-          return loaded;
-        if (!verify_unit_crc(plan->target, out))
-          return Status::checksum_mismatch(
-              "logical " + std::to_string(logical) + " (disk " +
-              std::to_string(plan->target.disk) + ", unit " +
-              std::to_string(plan->target.offset) +
-              ") failed CRC32C verification");
-        if (heat >= cache_->options().hot_threshold)
-          cache_->fill(logical, out);
-        if (receipt) {
-          receipt->kind = plan->kind;
-          receipt->num_touched = 1;
-          receipt->touched[0] = plan->target;
-        }
-        return OkStatus();
+      // The cache is keyed by LOGICAL address and holds logical content
+      // (CRC-verified at fill, invalidated on every write), so a hit
+      // serves the unit without touching a disk -- for a degraded unit
+      // it short-circuits the whole survivor fan-in and decode.
+      if (hit || cache_->lookup(logicals[i], out_slice(i))) {
+        if (!receipts.empty()) receipts[i].kind = plan->kind;
+        continue;
       }
-      if (Status loaded = load_unit(plan->target, out); !loaded.ok())
-        return loaded;
-      if (!verify_unit_crc(plan->target, out))
-        return Status::checksum_mismatch(
-            "logical " + std::to_string(logical) + " (disk " +
-            std::to_string(plan->target.disk) + ", unit " +
-            std::to_string(plan->target.offset) +
-            ") failed CRC32C verification");
-      if (receipt) {
-        receipt->kind = plan->kind;
-        receipt->num_touched = 1;
-        receipt->touched[0] = plan->target;
-      }
-      return OkStatus();
     }
-    case api::ReadPlan::Kind::kDegraded: {
-      if (is_torn(instance_of(logical)))
-        return Status::parity_inconsistent(
-            "logical " + std::to_string(logical) +
-            " needs degraded reconstruction, but its stripe instance is "
-            "parity-torn (a prior write's compensation failed)");
-      std::uint32_t heat = 0;
-      if (cache_) {
-        // The cache is keyed by LOGICAL address and holds logical
-        // content, so a hit legitimately short-circuits the whole
-        // survivor fan-in + decode (dirty instances are never degraded
-        // -- fail_disk flushes the table first -- so no pin check).
-        heat = cache_->note(instance_of(logical));
-        if (cache_->lookup(logical, out)) {
-          if (receipt) {
-            receipt->kind = plan->kind;
-            receipt->num_touched = 0;
-          }
-          return OkStatus();
-        }
-      }
-      const std::uint32_t n = plan->num_survivors;
-      const std::span<const std::uint32_t> erased{plan->erased_index.data(),
-                                                  plan->num_erased};
-      std::array<std::span<const std::uint8_t>, 64> srcs;
-      if (!views_.empty()) {
-        // Zero-copy: decode every survivor straight out of the disk
-        // images in one pass over `out`.
-        for (std::uint32_t i = 0; i < n; ++i) srcs[i] = unit_view(survivors[i]);
-      } else {
-        // Streamed: ONE batched submission fans every survivor read out
-        // to its disk (an async backend serves them concurrently), then
-        // a single decode pass folds the arena into `out`.
-        const auto slab = arena(static_cast<std::size_t>(n) * unit_bytes_);
-        std::array<IoRequest, 64> requests;
-        for (std::uint32_t i = 0; i < n; ++i) {
-          const auto slice = slab.subspan(
-              static_cast<std::size_t>(i) * unit_bytes_, unit_bytes_);
-          requests[i] = IoRequest::read_of(IoClass::kForegroundRead,
-                                           survivors[i].disk,
-                                           byte_offset(survivors[i].offset),
-                                           slice);
-          srcs[i] = slice;
-        }
-        if (Status fanned = backend_->execute_batch({requests.data(), n});
-            !fanned.ok())
-          return fanned;
-      }
-      // A degraded decode trusts every survivor byte: rot in ANY of
-      // them would silently materialize as the "reconstructed" unit.
-      for (std::uint32_t i = 0; i < n && integrity_; ++i)
-        if (!verify_unit_crc(survivors[i], srcs[i]))
-          return Status::checksum_mismatch(
-              "degraded read of logical " + std::to_string(logical) +
-              ": survivor (disk " + std::to_string(survivors[i].disk) +
-              ", unit " + std::to_string(survivors[i].offset) +
-              ") failed CRC32C verification");
-      decode_unit(array_.codec(), plan->num_data, {srcs.data(), n},
-                  {survivor_idx.data(), n}, erased, out);
-      // Caching the decoded content lets the NEXT read of this hot unit
-      // skip the whole fan-in; invalidate-on-write keeps it coherent.
-      if (cache_ && heat >= cache_->options().hot_threshold)
-        cache_->fill(logical, out);
-      if (receipt) {
-        receipt->kind = plan->kind;
-        receipt->num_touched = n;
-        std::copy_n(survivors.begin(), n, receipt->touched.begin());
-      }
-      return OkStatus();
+    slot.first = txn.size();
+    if (plan->kind == api::ReadPlan::Kind::kDirect) {
+      txn.add(plan->target);
+    } else {
+      for (std::uint32_t s = 0; s < plan->num_survivors; ++s)
+        txn.add(survivors[s], survivor_idx[s]);
     }
-    case api::ReadPlan::Kind::kUnrecoverable:
-      break;
+    slot.gathered = true;
   }
-  if (receipt) {
-    receipt->kind = api::ReadPlan::Kind::kUnrecoverable;
-    receipt->num_touched = 0;
+
+  // Fan-out phase: the whole read crosses the gather ONCE, verified --
+  // a degraded decode trusts every survivor byte, so rot in ANY of them
+  // would otherwise materialize as the "reconstructed" unit.
+  (void)gather(txn, IoClass::kForegroundRead, /*verify=*/true);
+
+  // Resolve phase: per-unit statuses, copies or decodes, receipts.
+  for (std::size_t i = 0; i < logicals.size(); ++i) {
+    const ReadSlot& slot = slots[i];
+    if (!slot.gathered) continue;
+    const bool direct = slot.plan.kind == api::ReadPlan::Kind::kDirect;
+    const std::uint32_t count = direct ? 1 : slot.plan.num_survivors;
+    const Status* failed = nullptr;
+    for (std::uint32_t u = 0; u < count && !failed; ++u)
+      if (const Status& unit = txn.status(slot.first + u); !unit.ok())
+        failed = &unit;
+    if (failed) {
+      fail(i, *failed);
+      continue;
+    }
+    if (direct) {
+      std::memcpy(out_slice(i).data(), txn.bytes(slot.first).data(),
+                  unit_bytes_);
+    } else {
+      decode_unit(array_.codec(), slot.plan.num_data,
+                  txn.bytes(slot.first, count),
+                  {txn.buf.index.data() + slot.first, count},
+                  {slot.plan.erased_index.data(), slot.plan.num_erased},
+                  out_slice(i));
+    }
+    // Caching the served content lets the NEXT read of this hot unit
+    // skip the disk (and a degraded one the whole fan-in);
+    // invalidate-on-write keeps it coherent.
+    if (cache_ && slot.heat >= cache_->options().hot_threshold)
+      cache_->fill(logicals[i], out_slice(i));
+    if (!receipts.empty()) {
+      receipts[i].kind = slot.plan.kind;
+      receipts[i].num_touched = count;
+      std::copy_n(txn.buf.units.begin() + slot.first, count,
+                  receipts[i].touched.begin());
+    }
   }
-  return Status::data_loss("logical " + std::to_string(logical) +
-                           " is on a stripe that lost more units than its "
-                           "codec tolerates");
+  return first;
 }
 
 Status StripeStore::read_batch(std::span<const std::uint64_t> logicals,
                                std::span<std::uint8_t> out,
                                std::span<Status> statuses,
                                std::span<ReadReceipt> receipts) {
-  Status first = read_batch_once(logicals, out, statuses, receipts);
-  if (!integrity_ || statuses.size() != logicals.size()) return first;
-  bool any_mismatch = false;
-  for (const Status& s : statuses)
-    if (s.code() == StatusCode::kChecksumMismatch) any_mismatch = true;
-  if (!any_mismatch) return first;
-  // Heal-and-retry pass: the batch's locks are released, so each
-  // mismatched unit goes back through read(), whose writer-locked heal
-  // reconstructs the rotten bytes before re-serving.
-  first = OkStatus();
-  for (std::size_t i = 0; i < logicals.size(); ++i) {
-    if (statuses[i].code() == StatusCode::kChecksumMismatch)
-      statuses[i] = read(logicals[i],
-                         out.subspan(i * unit_bytes_, unit_bytes_),
-                         receipts.empty() ? nullptr : &receipts[i]);
-    if (!statuses[i].ok() && first.ok()) first = statuses[i];
-  }
-  return first;
-}
-
-Status StripeStore::read_batch_once(std::span<const std::uint64_t> logicals,
-                                    std::span<std::uint8_t> out,
-                                    std::span<Status> statuses,
-                                    std::span<ReadReceipt> receipts) {
   if (out.size() != logicals.size() * unit_bytes_)
     return Status::invalid_argument(
         "read_batch buffer is " + std::to_string(out.size()) + " bytes; " +
@@ -531,229 +641,51 @@ Status StripeStore::read_batch_once(std::span<const std::uint64_t> logicals,
         std::to_string(logicals.size()) + ")");
   if (logicals.empty()) return OkStatus();
 
-  // Lock every involved stripe shard in a deadlock-free global order
-  // (sorted by address, deduplicated) -- the batch-wide analogue of
-  // read()'s single shard lock.  Shared: reads exclude only writers.
-  // A batch that sweeps more than kMaxHeldShards distinct shards takes
-  // the state lock exclusively instead -- writers hold state shared,
-  // so an exclusive hold excludes them wholesale -- which bounds how
-  // many locks one thread holds (ThreadSanitizer's deadlock detector
-  // aborts past 64).
-  std::vector<std::shared_mutex*> shards;
-  shards.reserve(logicals.size());
-  for (const std::uint64_t logical : logicals)
-    if (logical < num_logical_units()) shards.push_back(&shard_for(logical));
-  std::sort(shards.begin(), shards.end());
-  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-  constexpr std::size_t kMaxHeldShards = 16;
-  std::shared_lock<std::shared_mutex> state(sync_->state, std::defer_lock);
-  std::unique_lock<std::shared_mutex> exclusive(sync_->state,
-                                                std::defer_lock);
-  std::vector<std::shared_lock<std::shared_mutex>> held;
-  if (shards.size() > kMaxHeldShards) {
-    exclusive.lock();
-  } else {
-    state.lock();
-    held.reserve(shards.size());
-    for (std::shared_mutex* shard : shards) held.emplace_back(*shard);
-  }
-
-  const auto out_slice = [&](std::size_t i) {
-    return out.subspan(i * unit_bytes_, unit_bytes_);
-  };
-
-  if (!views_.empty()) {
-    // Zero-copy backends gain nothing from gathering: serve in place.
-    Status first;
-    for (std::size_t i = 0; i < logicals.size(); ++i) {
-      statuses[i] = read_locked(logicals[i], out_slice(i),
-                                receipts.empty() ? nullptr : &receipts[i]);
-      if (!statuses[i].ok() && first.ok()) first = statuses[i];
-    }
-    return first;
-  }
-
-  // Gather phase: plan every unit, emitting backend requests for direct
-  // targets (straight into the caller's slice) and degraded survivor
-  // sets (into arena slices, XORed after the fan-out completes).
-  struct Planned {
-    api::ReadPlan::Kind kind = api::ReadPlan::Kind::kUnrecoverable;
-    std::size_t first_request = 0;  ///< index into `requests`
-    std::uint32_t num_requests = 0;
-    bool served = false;     ///< resolved from the cache in the gather phase
-    std::uint32_t heat = 0;  ///< hotness estimate, for fill-on-miss
-  };
-  std::vector<Planned> planned(logicals.size());
-  std::vector<IoRequest> requests;
-  std::vector<Physical> touched;  ///< per-request physical, for receipts
-  requests.reserve(logicals.size());
-  touched.reserve(logicals.size());
   Status first;
-  const auto fail = [&](std::size_t i, Status status) {
-    statuses[i] = std::move(status);
+  {
+    // Lock every involved stripe shard in a deadlock-free global order
+    // (sorted by address, deduplicated) -- the batch-wide analogue of
+    // read()'s single shard lock.  Shared: reads exclude only writers.
+    // A batch that sweeps more than kMaxHeldShards distinct shards takes
+    // the state lock exclusively instead -- writers hold state shared,
+    // so an exclusive hold excludes them wholesale -- which bounds how
+    // many locks one thread holds (ThreadSanitizer's deadlock detector
+    // aborts past 64).
+    std::vector<std::shared_mutex*> shards;
+    shards.reserve(logicals.size());
+    for (const std::uint64_t logical : logicals)
+      if (logical < num_logical_units()) shards.push_back(&shard_for(logical));
+    std::sort(shards.begin(), shards.end());
+    shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
+    constexpr std::size_t kMaxHeldShards = 16;
+    std::shared_lock<std::shared_mutex> state(sync_->state, std::defer_lock);
+    std::unique_lock<std::shared_mutex> exclusive(sync_->state,
+                                                  std::defer_lock);
+    std::vector<std::shared_lock<std::shared_mutex>> held;
+    if (shards.size() > kMaxHeldShards) {
+      exclusive.lock();
+    } else {
+      state.lock();
+      held.reserve(shards.size());
+      for (std::shared_mutex* shard : shards) held.emplace_back(*shard);
+    }
+    std::vector<ReadSlot> slots(logicals.size());
+    first = read_locked(logicals, out, statuses, receipts, slots);
+  }
+  if (!integrity_) return first;
+  bool any_mismatch = false;
+  for (const Status& s : statuses)
+    if (s.code() == StatusCode::kChecksumMismatch) any_mismatch = true;
+  if (!any_mismatch) return first;
+  // Heal-and-retry pass: the batch's locks are released, so each
+  // mismatched unit goes back through read(), whose writer-locked heal
+  // reconstructs the rotten bytes before re-serving.
+  first = OkStatus();
+  for (std::size_t i = 0; i < logicals.size(); ++i) {
+    if (statuses[i].code() == StatusCode::kChecksumMismatch)
+      statuses[i] = read(logicals[i], unit_slice(out, i, unit_bytes_),
+                         receipts.empty() ? nullptr : &receipts[i]);
     if (!statuses[i].ok() && first.ok()) first = statuses[i];
-  };
-
-  std::size_t degraded_slices = 0;
-  std::vector<std::uint32_t> survivor_counts(logicals.size(), 0);
-  std::vector<std::array<Physical, 64>> survivor_sets(logicals.size());
-  std::vector<std::array<std::uint32_t, 64>> survivor_indices(logicals.size());
-  std::vector<Result<api::ReadPlan>> plans;
-  plans.reserve(logicals.size());
-  for (std::size_t i = 0; i < logicals.size(); ++i) {
-    if (logicals[i] >= num_logical_units()) {
-      plans.emplace_back(Status::out_of_range(
-          "logical " + std::to_string(logicals[i]) +
-          " past the address space (" + std::to_string(num_logical_units()) +
-          " units)"));
-      continue;
-    }
-    plans.emplace_back(array_.locate(
-        logicals[i], survivor_sets[i],
-        {survivor_indices[i].data(), survivor_indices[i].size()}));
-    if (plans.back().ok() &&
-        plans.back()->kind == api::ReadPlan::Kind::kDegraded) {
-      survivor_counts[i] = plans.back()->num_survivors;
-      degraded_slices += plans.back()->num_survivors;
-    }
-  }
-  const auto slab = arena(degraded_slices * unit_bytes_);
-  std::size_t next_slice = 0;
-
-  for (std::size_t i = 0; i < logicals.size(); ++i) {
-    statuses[i] = OkStatus();
-    if (!receipts.empty()) {
-      receipts[i].kind = api::ReadPlan::Kind::kUnrecoverable;
-      receipts[i].num_touched = 0;
-    }
-    if (!plans[i].ok()) {
-      fail(i, plans[i].status());
-      continue;
-    }
-    const auto& plan = *plans[i];
-    planned[i].kind = plan.kind;
-    planned[i].first_request = requests.size();
-    // Cache probe: pinned dirty bytes, then the read cache -- a hit
-    // drops the unit from the fan-out entirely.  Torn degraded units
-    // must still fail below, exactly as an uncached batch would.
-    if (cache_ && (plan.kind == api::ReadPlan::Kind::kDirect ||
-                   plan.kind == api::ReadPlan::Kind::kDegraded)) {
-      const std::uint64_t instance = instance_of(logicals[i]);
-      planned[i].heat = cache_->note(instance);
-      if (plan.kind == api::ReadPlan::Kind::kDirect)
-        if (StripeCache::DirtyEntry* entry = cache_->dirty_find(instance))
-          if (const StripeCache::DirtyUnit* unit = entry->find(logicals[i])) {
-            std::memcpy(out_slice(i).data(), unit->bytes.data(), unit_bytes_);
-            cache_->count_hit();
-            planned[i].served = true;
-          }
-      if (!planned[i].served &&
-          !(plan.kind == api::ReadPlan::Kind::kDegraded &&
-            is_torn(instance)) &&
-          cache_->lookup(logicals[i], out_slice(i)))
-        planned[i].served = true;
-      if (planned[i].served) {
-        if (!receipts.empty()) {
-          receipts[i].kind = plan.kind;
-          receipts[i].num_touched = 0;
-        }
-        continue;
-      }
-    }
-    switch (plan.kind) {
-      case api::ReadPlan::Kind::kDirect:
-        requests.push_back(IoRequest::read_of(IoClass::kForegroundRead,
-                                              plan.target.disk,
-                                              byte_offset(plan.target.offset),
-                                              out_slice(i)));
-        touched.push_back(plan.target);
-        planned[i].num_requests = 1;
-        break;
-      case api::ReadPlan::Kind::kDegraded:
-        if (is_torn(instance_of(logicals[i]))) {
-          fail(i, Status::parity_inconsistent(
-                      "logical " + std::to_string(logicals[i]) +
-                      " needs degraded reconstruction, but its stripe "
-                      "instance is parity-torn (a prior write's compensation "
-                      "failed)"));
-          break;
-        }
-        for (std::uint32_t s = 0; s < survivor_counts[i]; ++s) {
-          const Physical survivor = survivor_sets[i][s];
-          requests.push_back(IoRequest::read_of(
-              IoClass::kForegroundRead, survivor.disk,
-              byte_offset(survivor.offset),
-              slab.subspan(next_slice * unit_bytes_, unit_bytes_)));
-          touched.push_back(survivor);
-          ++next_slice;
-        }
-        planned[i].num_requests = survivor_counts[i];
-        break;
-      case api::ReadPlan::Kind::kUnrecoverable:
-        fail(i, Status::data_loss("logical " + std::to_string(logicals[i]) +
-                                  " is on a stripe that lost more units than "
-                                  "its codec tolerates"));
-        break;
-    }
-  }
-
-  // Fan-out phase: the whole batch crosses the backend seam ONCE.
-  if (!requests.empty()) (void)backend_->execute_batch(requests);
-
-  // Resolve phase: per-unit statuses, XOR folds, receipts.
-  for (std::size_t i = 0; i < logicals.size(); ++i) {
-    if (!statuses[i].ok()) continue;  // planning already failed it
-    const Planned& p = planned[i];
-    if (p.served) continue;  // cache hit: bytes and receipt already final
-    Status unit;
-    for (std::uint32_t r = 0; r < p.num_requests && unit.ok(); ++r)
-      unit = requests[p.first_request + r].status;
-    if (!unit.ok()) {
-      fail(i, unit);
-      continue;
-    }
-    if (integrity_) {
-      // Verify everything this unit's resolution touched: the direct
-      // target (caller's slice) or every degraded survivor (arena).
-      Status verified;
-      for (std::uint32_t r = 0; r < p.num_requests && verified.ok(); ++r) {
-        const Physical touched_unit = touched[p.first_request + r];
-        const auto bytes =
-            p.kind == api::ReadPlan::Kind::kDirect
-                ? std::span<const std::uint8_t>(out_slice(i))
-                : std::span<const std::uint8_t>(
-                      requests[p.first_request + r].read_buf);
-        if (!verify_unit_crc(touched_unit, bytes))
-          verified = Status::checksum_mismatch(
-              "batched read of logical " + std::to_string(logicals[i]) +
-              ": unit (disk " + std::to_string(touched_unit.disk) +
-              ", unit " + std::to_string(touched_unit.offset) +
-              ") failed CRC32C verification");
-      }
-      if (!verified.ok()) {
-        fail(i, std::move(verified));
-        continue;
-      }
-    }
-    if (p.kind == api::ReadPlan::Kind::kDegraded) {
-      std::array<std::span<const std::uint8_t>, 64> srcs;
-      for (std::uint32_t r = 0; r < p.num_requests; ++r)
-        srcs[r] = requests[p.first_request + r].read_buf;
-      decode_unit(array_.codec(), plans[i]->num_data,
-                  {srcs.data(), p.num_requests},
-                  {survivor_indices[i].data(), p.num_requests},
-                  {plans[i]->erased_index.data(), plans[i]->num_erased},
-                  out_slice(i));
-    }
-    if (cache_ && p.heat >= cache_->options().hot_threshold)
-      cache_->fill(logicals[i], out_slice(i));
-    if (!receipts.empty()) {
-      receipts[i].kind = p.kind;
-      receipts[i].num_touched = p.num_requests;
-      std::copy_n(touched.begin() + static_cast<std::ptrdiff_t>(
-                                        p.first_request),
-                  p.num_requests, receipts[i].touched.begin());
-    }
   }
   return first;
 }
@@ -780,9 +712,6 @@ Status StripeStore::write(std::uint64_t logical,
   if (cache_ && cache_->any_dirty() && cache_->flush_due())
     (void)flush_dirty_shared();
   std::unique_lock stripe(shard_for(logical));
-  // Any landed bytes invalidate concurrently staged rebuild reads; a
-  // spurious bump (e.g. a write that then fails) only costs a retry.
-  sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
 
   for (int attempt = 0;; ++attempt) {
     Status wrote = write_locked(logical, data, receipt);
@@ -849,114 +778,7 @@ Status StripeStore::write_locked(std::uint64_t logical,
                                      receipt, &handled);
         if (handled) return absorbed;
       }
-      // The legacy single-parity fold below is XOR-only; any array whose
-      // codec keeps more than one parity (even if only one SURVIVES --
-      // the surviving one may carry a non-unit coefficient) goes through
-      // the codec-aware path.
-      if (array_.num_parity_units() > 1)
-        return write_rmw_multi(*plan, data, instance, receipt);
-      // parity ^= old ^ new, then the data unit takes the new bytes.
-      if (const auto p = unit_view(plan->parity); !p.empty()) {
-        // Verify BEFORE the in-place fold: rot in the old parity or old
-        // data would otherwise be laundered into the new parity.
-        if (!verify_unit_crc(plan->parity, p) ||
-            !verify_unit_crc(plan->data, unit_view(plan->data)))
-          return Status::checksum_mismatch(
-              "RMW of logical " + std::to_string(logical) +
-              ": a pre-image unit failed CRC32C verification");
-        // Zero-copy: one blocked pass folds old parity, old data, and
-        // new data into the parity image in place.
-        const std::span<const std::uint8_t> srcs[] = {
-            p, unit_view(plan->data), data};
-        core::xor_parity_into(p, srcs);
-        std::memcpy(unit_view(plan->data).data(), data.data(), unit_bytes_);
-        if (Status crc = set_fresh_crc(plan->parity, p); !crc.ok()) return crc;
-        if (Status crc = set_fresh_crc(plan->data, data); !crc.ok()) return crc;
-      } else {
-        const auto parity = scratch(0, unit_bytes_);
-        const auto staging = scratch(1, unit_bytes_);
-        // Both RMW reads (old parity + old data) go out as ONE batched
-        // submission -- they hit different disks by construction, so an
-        // async backend overlaps them.  staging keeps the old data bytes
-        // for the compensation paths below.
-        std::array<IoRequest, 2> loads = {
-            IoRequest::read_of(IoClass::kForegroundWrite, plan->parity.disk,
-                               byte_offset(plan->parity.offset), parity),
-            IoRequest::read_of(IoClass::kForegroundWrite, plan->data.disk,
-                               byte_offset(plan->data.offset), staging)};
-        if (Status loaded = backend_->execute_batch(loads); !loaded.ok())
-          return loaded;
-        if (!verify_unit_crc(plan->parity, parity) ||
-            !verify_unit_crc(plan->data, staging))
-          return Status::checksum_mismatch(
-              "RMW of logical " + std::to_string(logical) +
-              ": a pre-image unit failed CRC32C verification");
-        core::xor_into(parity, staging);
-        core::xor_into(parity, data);
-        // Both RMW writes batched too.  The writes are concurrent, so
-        // EITHER may land alone; each partial outcome has a
-        // compensation that restores the consistent pre-write state:
-        //   * parity landed, data failed -> restore old parity
-        //     (P_old = P_new ^ D_old ^ D_new);
-        //   * data landed, parity failed -> restore the old data bytes
-        //     held in staging (old parity still on disk matches them).
-        // Either way a caller retry is then safe.  Both-failed needs no
-        // compensation (nothing landed); only a failure of the
-        // compensating write itself leaves the stripe torn -- the same
-        // window the sequential path had.
-        std::array<IoRequest, 4> stores;
-        stores[0] =
-            IoRequest::write_of(IoClass::kForegroundWrite, plan->parity.disk,
-                                byte_offset(plan->parity.offset), parity);
-        stores[1] =
-            IoRequest::write_of(IoClass::kForegroundWrite, plan->data.disk,
-                                byte_offset(plan->data.offset), data);
-        std::array<std::array<std::uint8_t, 4>, 2> crc_staging;
-        const std::uint32_t total =
-            stage_crc_writes(stores, 2, crc_staging);
-        if (Status stored =
-                execute_batch_journaled({stores.data(), total});
-            !stored.ok()) {
-          Status compensation;
-          if (stores[0].status.ok() && !stores[1].status.ok()) {
-            core::xor_into(parity, staging);
-            core::xor_into(parity, data);
-            compensation = store_unit(plan->parity, parity);
-          } else if (!stores[0].status.ok() && stores[1].status.ok()) {
-            compensation = store_unit(plan->data, staging);
-          }
-          if (compensation.ok() && integrity_) {
-            // Restore the PRE-write checksums too (the cache still
-            // holds them): a landed checksum write would otherwise
-            // leave media claiming the new bytes.  Best-effort -- a
-            // stale media checksum only costs a reopen-time heal.
-            (void)crc_persist(plan->parity);
-            (void)crc_persist(plan->data);
-          }
-          if (!compensation.ok()) {
-            // The compensating write ALSO failed: parity and data now
-            // disagree on disk and nothing in the stripe says so.  Record
-            // the tear so parity-trusting paths (degraded reads, rebuild
-            // decodes) refuse the instance until a heal re-encodes it.
-            mark_torn(instance);
-            return Status::parity_inconsistent(
-                "RMW compensation failed after a partial stripe write (" +
-                compensation.message() +
-                "); stripe instance marked parity-torn");
-          }
-          return stored;
-        }
-        commit_staged_crcs({stores.data(), 2}, crc_staging);
-      }
-      if (receipt) {
-        receipt->num_reads = 2;
-        receipt->reads[0] = plan->data;
-        receipt->reads[1] = plan->parity;
-        receipt->num_writes = 2;
-        receipt->writes[0] = plan->data;
-        receipt->writes[1] = plan->parity;
-      }
-      return OkStatus();
+      return write_rmw(*plan, data, instance, receipt);
     }
     case api::WritePlan::Kind::kReconstructWrite: {
       // The addressed data unit is lost, so the stripe's OTHER lost data
@@ -969,84 +791,23 @@ Status StripeStore::write_locked(std::uint64_t logical,
             "logical " + std::to_string(logical) +
             " needs a reconstruct-write, but its stripe instance is "
             "parity-torn and degraded (unhealable until rebuilt)");
-      if (array_.num_parity_units() > 1)
-        return write_reconstruct_multi(
-            *plan, {peers.data(), plan->num_peer_reads},
-            {peer_idx.data(), plan->num_peer_reads}, data, instance, receipt);
-      // The data unit's disk is gone: fold the new value into parity so a
-      // degraded read reconstructs it.  parity = XOR(peers) ^ new data.
-      if (!views_.empty()) {
-        std::array<std::span<const std::uint8_t>, 64> srcs;
-        for (std::uint32_t i = 0; i < plan->num_peer_reads; ++i) {
-          srcs[i] = unit_view(peers[i]);
-          if (!verify_unit_crc(peers[i], srcs[i]))
-            return Status::checksum_mismatch(
-                "reconstruct-write of logical " + std::to_string(logical) +
-                ": peer (disk " + std::to_string(peers[i].disk) + ", unit " +
-                std::to_string(peers[i].offset) +
-                ") failed CRC32C verification");
-        }
-        srcs[plan->num_peer_reads] = data;
-        core::xor_parity_into(unit_view(plan->parity),
-                              {srcs.data(), plan->num_peer_reads + 1u});
-        if (Status crc = set_fresh_crc(plan->parity, unit_view(plan->parity));
-            !crc.ok())
-          return crc;
-      } else {
-        // ONE batched submission fans the peer reads out (each peer is
-        // on a distinct disk), then parity = XOR(peers) ^ new data in a
-        // single pass over the arena.
-        const std::uint32_t n = plan->num_peer_reads;
-        const auto parity = scratch(0, unit_bytes_);
-        const auto slab = arena(static_cast<std::size_t>(n) * unit_bytes_);
-        std::array<IoRequest, 64> requests;
-        for (std::uint32_t i = 0; i < n; ++i)
-          requests[i] = IoRequest::read_of(
-              IoClass::kForegroundWrite, peers[i].disk,
-              byte_offset(peers[i].offset),
-              slab.subspan(static_cast<std::size_t>(i) * unit_bytes_,
-                           unit_bytes_));
-        if (Status fanned = backend_->execute_batch({requests.data(), n});
-            !fanned.ok())
-          return fanned;
-        for (std::uint32_t i = 0; i < n && integrity_; ++i)
-          if (!verify_unit_crc(peers[i], requests[i].read_buf))
-            return Status::checksum_mismatch(
-                "reconstruct-write of logical " + std::to_string(logical) +
-                ": peer (disk " + std::to_string(peers[i].disk) + ", unit " +
-                std::to_string(peers[i].offset) +
-                ") failed CRC32C verification");
-        std::memcpy(parity.data(), data.data(), unit_bytes_);
-        for (std::uint32_t i = 0; i < n; ++i)
-          core::xor_into(parity, requests[i].read_buf);
-        std::array<IoRequest, 2> stores;
-        stores[0] =
-            IoRequest::write_of(IoClass::kForegroundWrite, plan->parity.disk,
-                                byte_offset(plan->parity.offset), parity);
-        std::array<std::array<std::uint8_t, 4>, 1> crc_staging;
-        const std::uint32_t total = stage_crc_writes(stores, 1, crc_staging);
-        if (Status stored = execute_batch_journaled({stores.data(), total});
-            !stored.ok())
-          return stored;
-        commit_staged_crcs({stores.data(), 1}, crc_staging);
-      }
-      if (receipt) {
-        receipt->num_reads = plan->num_peer_reads;
-        std::copy_n(peers.begin(), plan->num_peer_reads,
-                    receipt->reads.begin());
-        receipt->num_writes = 1;
-        receipt->writes[0] = plan->parity;
-      }
-      return OkStatus();
+      return write_reconstruct(
+          *plan, {peers.data(), plan->num_peer_reads},
+          {peer_idx.data(), plan->num_peer_reads}, data, instance, receipt);
     }
     case api::WritePlan::Kind::kUnprotectedWrite: {
-      if (Status stored = store_unit(plan->data, data); !stored.ok())
+      // Every parity is lost: the data unit lands alone.  Its old bytes
+      // are gathered only so a failed commit can restore them.
+      Txn txn(unit_bytes_);
+      txn.add(plan->data);
+      if (Status loaded = gather(txn, IoClass::kForegroundWrite, false);
+          !loaded.ok())
+        return loaded;
+      txn.write(0, data);
+      if (Status stored = commit(txn, instance, IoClass::kForegroundWrite);
+          !stored.ok())
         return stored;
-      if (Status crc = set_fresh_crc(plan->data, data); !crc.ok()) return crc;
-      if (receipt) {
-        receipt->num_writes = 1;
-        receipt->writes[0] = plan->data;
-      }
+      txn.report(receipt);
       return OkStatus();
     }
     case api::WritePlan::Kind::kUnrecoverable:
@@ -1057,140 +818,39 @@ Status StripeStore::write_locked(std::uint64_t logical,
                            "codec tolerates");
 }
 
-Status StripeStore::write_rmw_multi(const api::WritePlan& plan,
-                                    std::span<const std::uint8_t> data,
-                                    std::uint64_t instance,
-                                    WriteReceipt* receipt) {
+Status StripeStore::write_rmw(const api::WritePlan& plan,
+                              std::span<const std::uint8_t> data,
+                              std::uint64_t instance,
+                              WriteReceipt* receipt) {
   const core::Codec& codec = array_.codec();
   const std::uint32_t np = plan.num_parities;
-  const auto fill_receipt = [&] {
-    if (!receipt) return;
-    receipt->num_reads = 1 + np;
-    receipt->reads[0] = plan.data;
-    receipt->num_writes = 1 + np;
-    receipt->writes[0] = plan.data;
-    for (std::uint32_t j = 0; j < np; ++j) {
-      receipt->reads[1 + j] = plan.parity_targets[j];
-      receipt->writes[1 + j] = plan.parity_targets[j];
-    }
-  };
-
-  if (!views_.empty()) {
-    // Zero-copy: fold c_j * (old ^ new) into every surviving parity
-    // image in place, then the data unit takes the new bytes.  Verify
-    // every pre-image unit BEFORE the first in-place fold.
-    const auto delta = scratch(0, unit_bytes_);
-    const auto old_data = unit_view(plan.data);
-    if (!verify_unit_crc(plan.data, old_data))
-      return Status::checksum_mismatch(
-          "RMW: the old data unit failed CRC32C verification");
-    for (std::uint32_t j = 0; j < np && integrity_; ++j)
-      if (!verify_unit_crc(plan.parity_targets[j],
-                           unit_view(plan.parity_targets[j])))
-        return Status::checksum_mismatch(
-            "RMW: an old parity unit failed CRC32C verification");
-    std::memcpy(delta.data(), old_data.data(), unit_bytes_);
-    core::xor_into(delta, data);
-    for (std::uint32_t j = 0; j < np; ++j)
-      codec.update(unit_view(plan.parity_targets[j]), plan.parity_index[j],
-                   plan.data_index, delta);
-    std::memcpy(old_data.data(), data.data(), unit_bytes_);
-    if (integrity_) {
-      if (Status crc = set_fresh_crc(plan.data, data); !crc.ok()) return crc;
-      for (std::uint32_t j = 0; j < np; ++j)
-        if (Status crc = set_fresh_crc(plan.parity_targets[j],
-                                       unit_view(plan.parity_targets[j]));
-            !crc.ok())
-          return crc;
-    }
-    fill_receipt();
-    return OkStatus();
-  }
-
-  // Streamed: ONE batched submission loads the old data plus every
-  // surviving parity (distinct disks by construction), the coefficient
-  // folds happen in memory, then ONE batched submission stores the new
-  // data plus every new parity.
-  const auto staging = scratch(1, unit_bytes_);  // old data bytes
-  const auto delta = scratch(0, unit_bytes_);
-  const auto slab = arena(static_cast<std::size_t>(np) * unit_bytes_);
-  const auto parity_buf = [&](std::uint32_t j) {
-    return slab.subspan(static_cast<std::size_t>(j) * unit_bytes_,
-                        unit_bytes_);
-  };
-  std::array<IoRequest, 1 + api::kMaxParityUnits> loads;
-  loads[0] = IoRequest::read_of(IoClass::kForegroundWrite, plan.data.disk,
-                                byte_offset(plan.data.offset), staging);
-  for (std::uint32_t j = 0; j < np; ++j)
-    loads[1 + j] = IoRequest::read_of(
-        IoClass::kForegroundWrite, plan.parity_targets[j].disk,
-        byte_offset(plan.parity_targets[j].offset), parity_buf(j));
-  if (Status loaded = backend_->execute_batch({loads.data(), 1u + np});
+  // One gather loads the old data plus every surviving parity (distinct
+  // disks by construction).  Verify BEFORE computing: rot in a pre-image
+  // would otherwise be laundered into the new parity.
+  Txn txn(unit_bytes_);
+  txn.add(plan.data);
+  for (std::uint32_t j = 0; j < np; ++j) txn.add(plan.parity_targets[j]);
+  if (Status loaded = gather(txn, IoClass::kForegroundWrite, true);
       !loaded.ok())
     return loaded;
-  if (integrity_) {
-    if (!verify_unit_crc(plan.data, staging))
-      return Status::checksum_mismatch(
-          "RMW: the old data unit failed CRC32C verification");
-    for (std::uint32_t j = 0; j < np; ++j)
-      if (!verify_unit_crc(plan.parity_targets[j], parity_buf(j)))
-        return Status::checksum_mismatch(
-            "RMW: an old parity unit failed CRC32C verification");
+  // parity_j' = parity_j ^ c_j * (old ^ new): one fused pass per parity
+  // over the gathered old bytes, then data and parities commit together.
+  const auto parity = txn.scratch(np);
+  txn.write(0, data);
+  for (std::uint32_t j = 0; j < np; ++j) {
+    const auto out = unit_slice(parity, j, unit_bytes_);
+    codec.update_into(out, txn.bytes(1 + j), plan.parity_index[j],
+                      plan.data_index, txn.bytes(0), data);
+    txn.write(1 + j, out);
   }
-  std::memcpy(delta.data(), staging.data(), unit_bytes_);
-  core::xor_into(delta, data);
-  for (std::uint32_t j = 0; j < np; ++j)
-    codec.update(parity_buf(j), plan.parity_index[j], plan.data_index, delta);
-
-  std::array<IoRequest, 2 * (1 + api::kMaxParityUnits)> stores;
-  stores[0] = IoRequest::write_of(IoClass::kForegroundWrite, plan.data.disk,
-                                  byte_offset(plan.data.offset), data);
-  for (std::uint32_t j = 0; j < np; ++j)
-    stores[1 + j] = IoRequest::write_of(
-        IoClass::kForegroundWrite, plan.parity_targets[j].disk,
-        byte_offset(plan.parity_targets[j].offset), parity_buf(j));
-  std::array<std::array<std::uint8_t, 4>, 1 + api::kMaxParityUnits>
-      crc_staging;
-  const std::uint32_t total = stage_crc_writes(stores, 1u + np, crc_staging);
-  if (Status stored = execute_batch_journaled({stores.data(), total});
-      !stored.ok()) {
-    // Roll every LANDED write back to the consistent pre-write state:
-    // the data unit takes its old bytes back, and a landed parity takes
-    // a second identical fold (update is an involution) before being
-    // rewritten.  A caller retry is then safe.  Only a failure of the
-    // compensation itself leaves the stripe torn.
-    Status compensation;
-    if (stores[0].status.ok()) compensation = store_unit(plan.data, staging);
-    for (std::uint32_t j = 0; j < np; ++j) {
-      if (!stores[1 + j].status.ok()) continue;
-      codec.update(parity_buf(j), plan.parity_index[j], plan.data_index,
-                   delta);
-      if (Status undone = store_unit(plan.parity_targets[j], parity_buf(j));
-          !undone.ok() && compensation.ok())
-        compensation = undone;
-    }
-    if (compensation.ok() && integrity_) {
-      // Best-effort restore of the pre-write checksums (the cache
-      // still holds them); a stale media word is caught by the
-      // reopen-time heal.
-      (void)crc_persist(plan.data);
-      for (std::uint32_t j = 0; j < np; ++j)
-        (void)crc_persist(plan.parity_targets[j]);
-    }
-    if (!compensation.ok()) {
-      mark_torn(instance);
-      return Status::parity_inconsistent(
-          "RMW compensation failed after a partial stripe write (" +
-          compensation.message() + "); stripe instance marked parity-torn");
-    }
+  if (Status stored = commit(txn, instance, IoClass::kForegroundWrite);
+      !stored.ok())
     return stored;
-  }
-  commit_staged_crcs({stores.data(), 1u + np}, crc_staging);
-  fill_receipt();
+  txn.report(receipt);
   return OkStatus();
 }
 
-Status StripeStore::write_reconstruct_multi(
+Status StripeStore::write_reconstruct(
     const api::WritePlan& plan, std::span<const Physical> peers,
     std::span<const std::uint32_t> peer_index,
     std::span<const std::uint8_t> data, std::uint64_t instance,
@@ -1201,143 +861,57 @@ Status StripeStore::write_reconstruct_multi(
   const std::uint32_t m = array_.num_parity_units();
   const std::uint32_t kd = plan.num_data;
 
-  // Slab layout: n peer slices | np old-parity slices | m decode
-  // buffers | m re-encoded parity buffers.  The view path reads peers
-  // and old parities straight out of the disk images and skips the
-  // first two sections.
-  const auto slab = arena(
-      (static_cast<std::size_t>(n) + np + 2 * static_cast<std::size_t>(m)) *
-      unit_bytes_);
-  const auto slice = [&](std::size_t i) {
-    return slab.subspan(i * unit_bytes_, unit_bytes_);
-  };
-
-  // Survivor set for the decode AND the compensation: peers first, then
-  // the surviving OLD parities (read before anything is overwritten).
-  std::array<std::span<const std::uint8_t>, 64> survivors;
-  std::array<std::uint32_t, 64> survivor_idx;
-  if (!views_.empty()) {
-    for (std::uint32_t i = 0; i < n; ++i) survivors[i] = unit_view(peers[i]);
-    for (std::uint32_t j = 0; j < np; ++j)
-      survivors[n + j] = unit_view(plan.parity_targets[j]);
-  } else {
-    std::array<IoRequest, 64> loads;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      survivors[i] = slice(i);
-      loads[i] = IoRequest::read_of(IoClass::kForegroundWrite, peers[i].disk,
-                                    byte_offset(peers[i].offset), slice(i));
-    }
-    for (std::uint32_t j = 0; j < np; ++j) {
-      survivors[n + j] = slice(n + j);
-      loads[n + j] = IoRequest::read_of(
-          IoClass::kForegroundWrite, plan.parity_targets[j].disk,
-          byte_offset(plan.parity_targets[j].offset), slice(n + j));
-    }
-    if (Status loaded = backend_->execute_batch({loads.data(), n + np});
-        !loaded.ok())
-      return loaded;
-  }
-  for (std::uint32_t i = 0; i < n; ++i) survivor_idx[i] = peer_index[i];
+  // Survivor set for the decode AND the rollback: peers first, then the
+  // surviving OLD parities.  The decode and the re-encode below trust
+  // every survivor byte, so the gather verifies them.
+  Txn txn(unit_bytes_);
+  for (std::uint32_t i = 0; i < n; ++i) txn.add(peers[i], peer_index[i]);
   for (std::uint32_t j = 0; j < np; ++j)
-    survivor_idx[n + j] = kd + plan.parity_index[j];
-  if (integrity_) {
-    // The decode AND the re-encode below trust every survivor byte.
-    for (std::uint32_t i = 0; i < n; ++i)
-      if (!verify_unit_crc(peers[i], survivors[i]))
-        return Status::checksum_mismatch(
-            "reconstruct-write: a peer unit failed CRC32C verification");
-    for (std::uint32_t j = 0; j < np; ++j)
-      if (!verify_unit_crc(plan.parity_targets[j], survivors[n + j]))
-        return Status::checksum_mismatch(
-            "reconstruct-write: an old parity unit failed CRC32C "
-            "verification");
-  }
+    txn.add(plan.parity_targets[j], kd + plan.parity_index[j]);
+  if (Status loaded = gather(txn, IoClass::kForegroundWrite, true);
+      !loaded.ok())
+    return loaded;
 
+  // Scratch: m decode buffers, then m re-encoded parities.
+  const auto scratch = txn.scratch(2 * static_cast<std::size_t>(m));
   // Assemble the full data set: the new bytes stand in for the lost
   // addressed unit, and any OTHER erased data unit is decoded from the
   // old stripe state first (the survivor set excludes every erased
   // unit, so the decode sees a consistent code word).
   std::array<std::span<const std::uint8_t>, 64> data_spans;
-  for (std::uint32_t i = 0; i < n; ++i) data_spans[peer_index[i]] = survivors[i];
+  for (std::uint32_t i = 0; i < n; ++i)
+    data_spans[peer_index[i]] = txn.bytes(i);
   data_spans[plan.data_index] = data;
   bool any_decode = false;
   std::array<std::span<std::uint8_t>, api::kMaxParityUnits> outs{};
   for (std::uint32_t e = 1; e < plan.num_erased; ++e) {
     if (plan.erased_index[e] >= kd) continue;  // erased parity: re-encoded below
-    outs[e] = slice(static_cast<std::size_t>(n) + np + e);
+    outs[e] = unit_slice(scratch, e, unit_bytes_);
     any_decode = true;
   }
   if (any_decode) {
-    codec.reconstruct(kd, {survivors.data(), n + np},
-                      {survivor_idx.data(), n + np},
+    codec.reconstruct(kd, txn.bytes(0, n + np),
+                      {txn.buf.index.data(), n + np},
                       {plan.erased_index.data(), plan.num_erased},
                       {outs.data(), plan.num_erased});
     for (std::uint32_t e = 1; e < plan.num_erased; ++e)
       if (plan.erased_index[e] < kd) data_spans[plan.erased_index[e]] = outs[e];
   }
 
-  // Re-encode EVERY parity from the assembled data, then store the
+  // Re-encode EVERY parity from the assembled data, then commit the
   // surviving ones (the erased parities have nowhere to go -- rebuild
-  // re-creates them).
+  // re-creates them).  A rolled-back commit leaves the stripe encoding
+  // the OLD value of the lost unit, so a degraded read stays consistent.
   std::array<std::span<std::uint8_t>, api::kMaxParityUnits> parity_out;
   for (std::uint32_t j = 0; j < m; ++j)
-    parity_out[j] = slice(static_cast<std::size_t>(n) + np + m + j);
+    parity_out[j] = unit_slice(scratch, m + j, unit_bytes_);
   codec.encode({data_spans.data(), kd}, {parity_out.data(), m});
-
-  if (!views_.empty()) {
-    for (std::uint32_t j = 0; j < np; ++j) {
-      std::memcpy(unit_view(plan.parity_targets[j]).data(),
-                  parity_out[plan.parity_index[j]].data(), unit_bytes_);
-      if (Status crc = set_fresh_crc(plan.parity_targets[j],
-                                     parity_out[plan.parity_index[j]]);
-          !crc.ok())
-        return crc;
-    }
-  } else {
-    std::array<IoRequest, 2 * api::kMaxParityUnits> stores;
-    for (std::uint32_t j = 0; j < np; ++j)
-      stores[j] = IoRequest::write_of(
-          IoClass::kForegroundWrite, plan.parity_targets[j].disk,
-          byte_offset(plan.parity_targets[j].offset),
-          parity_out[plan.parity_index[j]]);
-    std::array<std::array<std::uint8_t, 4>, api::kMaxParityUnits> crc_staging;
-    const std::uint32_t total = stage_crc_writes(stores, np, crc_staging);
-    if (Status stored = execute_batch_journaled({stores.data(), total});
-        !stored.ok()) {
-      // Restore every LANDED parity from the old bytes read above, so
-      // the stripe still encodes the OLD value of the lost unit and a
-      // degraded read stays consistent.  Only a failed restore tears it.
-      Status compensation;
-      for (std::uint32_t j = 0; j < np; ++j) {
-        if (!stores[j].status.ok()) continue;
-        if (Status undone =
-                store_unit(plan.parity_targets[j], survivors[n + j]);
-            !undone.ok() && compensation.ok())
-          compensation = undone;
-      }
-      if (compensation.ok() && integrity_)
-        for (std::uint32_t j = 0; j < np; ++j)
-          (void)crc_persist(plan.parity_targets[j]);
-      if (!compensation.ok()) {
-        mark_torn(instance);
-        return Status::parity_inconsistent(
-            "reconstruct-write compensation failed after a partial parity "
-            "update (" +
-            compensation.message() + "); stripe instance marked parity-torn");
-      }
-      return stored;
-    }
-    commit_staged_crcs({stores.data(), np}, crc_staging);
-  }
-  if (receipt) {
-    receipt->num_reads = n + np;
-    for (std::uint32_t i = 0; i < n; ++i) receipt->reads[i] = peers[i];
-    for (std::uint32_t j = 0; j < np; ++j)
-      receipt->reads[n + j] = plan.parity_targets[j];
-    receipt->num_writes = np;
-    for (std::uint32_t j = 0; j < np; ++j)
-      receipt->writes[j] = plan.parity_targets[j];
-  }
+  for (std::uint32_t j = 0; j < np; ++j)
+    txn.write(n + j, parity_out[plan.parity_index[j]]);
+  if (Status stored = commit(txn, instance, IoClass::kForegroundWrite);
+      !stored.ok())
+    return stored;
+  txn.report(receipt);
   return OkStatus();
 }
 
@@ -1349,6 +923,7 @@ Status StripeStore::write_heal(std::uint64_t logical,
   const core::Codec& codec = array_.codec();
   const std::uint32_t kd = plan.num_data;
   const std::uint32_t m = array_.num_parity_units();
+  const std::uint32_t np = plan.num_parities;
   std::array<Physical, 64> peers;
   std::array<std::uint32_t, 64> peer_idx;
   const auto count =
@@ -1363,52 +938,39 @@ Status StripeStore::write_heal(std::uint64_t logical,
   // Heal = full-stripe re-encode: every peer's bytes plus the incoming
   // write give the complete data set; the codec then yields parity that
   // is consistent BY CONSTRUCTION, regardless of what the torn parity
-  // units currently hold.  Heals are rare (they need a double fault
-  // first), so the peer reads go out sequentially.
-  const auto slab = arena(
-      (static_cast<std::size_t>(*count) + m) * unit_bytes_);
+  // units currently hold.  The old data and parities are gathered only
+  // for the commit's rollback.  (Nothing is checksum-verified here: a
+  // torn instance's parity is untrustworthy by definition, so rot in a
+  // peer would be unhealable anyway -- the re-encode takes the peers as
+  // ground truth.)
+  Txn txn(unit_bytes_);
+  txn.add(plan.data);
+  for (std::uint32_t j = 0; j < np; ++j) txn.add(plan.parity_targets[j]);
+  for (std::uint32_t i = 0; i < *count; ++i) txn.add(peers[i]);
+  if (Status loaded = gather(txn, IoClass::kForegroundWrite, false);
+      !loaded.ok())
+    return loaded;
   std::array<std::span<const std::uint8_t>, 64> data_spans;
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    const auto buf =
-        slab.subspan(static_cast<std::size_t>(i) * unit_bytes_, unit_bytes_);
-    if (Status loaded = load_unit(peers[i], buf); !loaded.ok()) return loaded;
-    data_spans[peer_idx[i]] = buf;
-  }
+  for (std::uint32_t i = 0; i < *count; ++i)
+    data_spans[peer_idx[i]] = txn.bytes(1 + np + i);
   data_spans[plan.data_index] = data;
+  const auto scratch = txn.scratch(m);
   std::array<std::span<std::uint8_t>, api::kMaxParityUnits> parity_out;
   for (std::uint32_t j = 0; j < m; ++j)
-    parity_out[j] = slab.subspan(
-        (static_cast<std::size_t>(*count) + j) * unit_bytes_, unit_bytes_);
+    parity_out[j] = unit_slice(scratch, j, unit_bytes_);
   codec.encode({data_spans.data(), kd}, {parity_out.data(), m});
 
-  // Data first: if a parity write then fails, the stripe simply STAYS
-  // torn and the heal can be retried.  Clearing the tear before all
-  // writes land would let a parity-trusting read through too early.
-  // (Peer checksums are NOT verified here: a torn instance's parity is
-  // untrustworthy by definition, so rot in a peer would be unhealable
-  // anyway -- the re-encode takes the peers as ground truth.)
-  if (Status stored = store_unit(plan.data, data); !stored.ok())
+  // A failed commit rolls back and the stripe simply STAYS torn, so the
+  // heal can be retried.  Clearing the tear before every write landed
+  // would let a parity-trusting read through too early.
+  txn.write(0, data);
+  for (std::uint32_t j = 0; j < np; ++j)
+    txn.write(1 + j, parity_out[plan.parity_index[j]]);
+  if (Status stored = commit(txn, instance, IoClass::kForegroundWrite);
+      !stored.ok())
     return stored;
-  if (Status crc = set_fresh_crc(plan.data, data); !crc.ok()) return crc;
-  for (std::uint32_t j = 0; j < plan.num_parities; ++j) {
-    if (Status stored = store_unit(plan.parity_targets[j],
-                                   parity_out[plan.parity_index[j]]);
-        !stored.ok())
-      return stored;
-    if (Status crc = set_fresh_crc(plan.parity_targets[j],
-                                   parity_out[plan.parity_index[j]]);
-        !crc.ok())
-      return crc;
-  }
   clear_torn(instance);
-  if (receipt) {
-    receipt->num_reads = *count;
-    std::copy_n(peers.begin(), *count, receipt->reads.begin());
-    receipt->num_writes = 1 + plan.num_parities;
-    receipt->writes[0] = plan.data;
-    for (std::uint32_t j = 0; j < plan.num_parities; ++j)
-      receipt->writes[1 + j] = plan.parity_targets[j];
-  }
+  txn.report(receipt);
   return OkStatus();
 }
 
@@ -1423,8 +985,8 @@ Status StripeStore::absorb_rmw(const api::WritePlan& plan,
   StripeCache::DirtyEntry* entry = cache_->dirty_find(instance);
   if (!entry) {
     // Only HOT instances are worth pinning memory for; everything else
-    // falls through to the immediate RMW paths.  So does a hot
-    // instance when the table is full.
+    // falls through to the immediate RMW path.  So does a hot instance
+    // when the table is full.
     if (!cache_->hot(instance)) return OkStatus();
     bool created = false;
     entry = cache_->dirty_ensure(instance, plan.num_parities, &created);
@@ -1442,31 +1004,27 @@ Status StripeStore::absorb_rmw(const api::WritePlan& plan,
   // set's RMW tax disappears), otherwise the unit's media pre-image.
   const core::Codec& codec = array_.codec();
   StripeCache::DirtyUnit* unit = entry->find(logical);
+  Txn txn(unit_bytes_);
   std::span<const std::uint8_t> old;
   if (unit) {
     old = unit->bytes;
   } else {
-    const auto staging = scratch(1, unit_bytes_);
-    Status pre;
-    if (Status loaded = load_unit(plan.data, staging); !loaded.ok())
-      pre = loaded;
-    else if (!verify_unit_crc(plan.data, staging))
-      pre = Status::checksum_mismatch(
-          "absorbed RMW: the old data unit failed CRC32C verification");
-    if (!pre.ok()) {
+    txn.add(plan.data);
+    if (Status pre = gather(txn, IoClass::kForegroundWrite, true);
+        !pre.ok()) {
       if (entry->units.empty()) cache_->dirty_erase(instance);
       return pre;
     }
-    old = staging;
+    old = txn.bytes(0);
   }
 
   // Accumulate c_j * (old ^ new) into each parity's delta, then pin
   // the new bytes as the unit's current value.  Re-absorbing the same
   // unit is exact: its pinned bytes are the "old" the delta folds
   // against, so the accumulated sum telescopes.
-  const auto delta = scratch(0, unit_bytes_);
-  std::memcpy(delta.data(), old.data(), unit_bytes_);
-  core::xor_into(delta, data);
+  const auto delta = txn.scratch(1);
+  const std::span<const std::uint8_t> change[] = {old, data};
+  core::xor_parity_into(delta, change);
   for (std::uint32_t j = 0; j < entry->num_parity; ++j)
     codec.update(entry->delta[j], entry->parity_index[j], plan.data_index,
                  delta);
@@ -1515,128 +1073,40 @@ Status StripeStore::fold_instance_locked(std::uint64_t instance) {
 
   const std::uint32_t np = entry->num_parity;
   const auto nd = static_cast<std::uint32_t>(entry->units.size());
-  // Local slab, NOT the thread_local scratch/arena (the inline-fold
-  // caller is mid-absorb and may hold both): np parity pre-images,
-  // then nd dirty-unit media pre-images (compensation needs them).
-  std::vector<std::uint8_t> slab(
-      (static_cast<std::size_t>(np) + nd) * unit_bytes_);
-  const auto slice = [&](std::size_t i) {
-    return std::span<std::uint8_t>(slab).subspan(i * unit_bytes_,
-                                                 unit_bytes_);
-  };
-  if (!views_.empty()) {
-    for (std::uint32_t j = 0; j < np; ++j)
-      std::memcpy(slice(j).data(), unit_view(entry->parity_home[j]).data(),
-                  unit_bytes_);
-    for (std::uint32_t i = 0; i < nd; ++i)
-      std::memcpy(slice(np + i).data(),
-                  unit_view(entry->units[i].home).data(), unit_bytes_);
-  } else {
-    std::vector<IoRequest> loads;
-    loads.reserve(static_cast<std::size_t>(np) + nd);
-    for (std::uint32_t j = 0; j < np; ++j)
-      loads.push_back(IoRequest::read_of(
-          IoClass::kForegroundWrite, entry->parity_home[j].disk,
-          byte_offset(entry->parity_home[j].offset), slice(j)));
-    for (std::uint32_t i = 0; i < nd; ++i)
-      loads.push_back(IoRequest::read_of(
-          IoClass::kForegroundWrite, entry->units[i].home.disk,
-          byte_offset(entry->units[i].home.offset), slice(np + i)));
-    if (Status loaded = backend_->execute_batch(loads); !loaded.ok())
-      return loaded;
-  }
-  if (integrity_) {
-    // Verify every pre-image BEFORE folding -- rot would otherwise be
-    // laundered into the new parity.  The entry survives the failure:
-    // the caller heals (which restores the original code word, keeping
-    // the accumulated deltas applicable) and retries.
-    for (std::uint32_t j = 0; j < np; ++j)
-      if (!verify_unit_crc(entry->parity_home[j], slice(j)))
-        return Status::checksum_mismatch(
-            "parity-delta fold: an old parity unit failed CRC32C "
-            "verification");
-    for (std::uint32_t i = 0; i < nd; ++i)
-      if (!verify_unit_crc(entry->units[i].home, slice(np + i)))
-        return Status::checksum_mismatch(
-            "parity-delta fold: a dirty unit's media pre-image failed "
-            "CRC32C verification");
-  }
+  // Gather the np parity pre-images, then the nd dirty units' media
+  // pre-images (the rollback needs them).  Verify every pre-image
+  // BEFORE folding -- rot would otherwise be laundered into the new
+  // parity.  The entry survives the failure: the caller heals (which
+  // restores the original code word, keeping the accumulated deltas
+  // applicable) and retries.
+  Txn txn(unit_bytes_);
+  for (std::uint32_t j = 0; j < np; ++j) txn.add(entry->parity_home[j]);
+  for (std::uint32_t i = 0; i < nd; ++i) txn.add(entry->units[i].home);
+  if (Status loaded = gather(txn, IoClass::kForegroundWrite, true);
+      !loaded.ok())
+    return loaded;
 
   // parity_new = parity_old ^ accumulated delta.  Linearity over the
   // codec's field makes this byte-identical to folding every absorbed
   // write through per-op RMW, in any order.
-  for (std::uint32_t j = 0; j < np; ++j)
-    core::xor_into(slice(j), entry->delta[j]);
-
-  // The folded bytes are landed state: staged rebuild chunks replan.
-  sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
-  if (!views_.empty()) {
-    for (std::uint32_t i = 0; i < nd; ++i) {
-      const StripeCache::DirtyUnit& u = entry->units[i];
-      std::memcpy(unit_view(u.home).data(), u.bytes.data(), unit_bytes_);
-      if (Status crc = set_fresh_crc(u.home, u.bytes); !crc.ok()) return crc;
-    }
-    for (std::uint32_t j = 0; j < np; ++j) {
-      std::memcpy(unit_view(entry->parity_home[j]).data(), slice(j).data(),
-                  unit_bytes_);
-      if (Status crc = set_fresh_crc(entry->parity_home[j], slice(j));
-          !crc.ok())
-        return crc;
-    }
-  } else {
-    // ONE journaled batch: every dirty data unit, every folded parity,
-    // and their checksums.  A crash mid-fold replays the whole record
-    // -- the consistent post-image -- on reopen.
-    std::vector<IoRequest> stores(2 * (static_cast<std::size_t>(np) + nd));
-    std::vector<std::array<std::uint8_t, 4>> crc_staging(
-        static_cast<std::size_t>(np) + nd);
-    for (std::uint32_t i = 0; i < nd; ++i)
-      stores[i] = IoRequest::write_of(
-          IoClass::kForegroundWrite, entry->units[i].home.disk,
-          byte_offset(entry->units[i].home.offset), entry->units[i].bytes);
-    for (std::uint32_t j = 0; j < np; ++j)
-      stores[nd + j] = IoRequest::write_of(
-          IoClass::kForegroundWrite, entry->parity_home[j].disk,
-          byte_offset(entry->parity_home[j].offset), slice(j));
-    const std::uint32_t total =
-        stage_crc_writes(stores, nd + np, crc_staging);
-    if (Status stored = execute_batch_journaled({stores.data(), total});
-        !stored.ok()) {
-      // Roll every LANDED write back to its pre-image so the stripe
-      // returns to the consistent pre-fold code word; the entry is
-      // KEPT (its deltas are still valid against that image) and a
-      // later flush retries.  Only a failed compensation tears.
-      Status compensation;
-      for (std::uint32_t i = 0; i < nd; ++i) {
-        if (!stores[i].status.ok()) continue;
-        if (Status undone = store_unit(entry->units[i].home, slice(np + i));
-            !undone.ok() && compensation.ok())
-          compensation = undone;
-      }
-      for (std::uint32_t j = 0; j < np; ++j) {
-        if (!stores[nd + j].status.ok()) continue;
-        core::xor_into(slice(j), entry->delta[j]);  // involution: pre-image
-        if (Status undone = store_unit(entry->parity_home[j], slice(j));
-            !undone.ok() && compensation.ok())
-          compensation = undone;
-      }
-      if (compensation.ok() && integrity_) {
-        for (std::uint32_t i = 0; i < nd; ++i)
-          (void)crc_persist(entry->units[i].home);
-        for (std::uint32_t j = 0; j < np; ++j)
-          (void)crc_persist(entry->parity_home[j]);
-      }
-      if (!compensation.ok()) {
-        mark_torn(instance);
-        return Status::parity_inconsistent(
-            "parity-delta fold compensation failed after a partial batch "
-            "(" +
-            compensation.message() + "); stripe instance marked parity-torn");
-      }
-      return stored;
-    }
-    commit_staged_crcs({stores.data(), nd + np}, crc_staging);
+  const auto parity = txn.scratch(np);
+  for (std::uint32_t i = 0; i < nd; ++i)
+    txn.write(np + i, entry->units[i].bytes);
+  for (std::uint32_t j = 0; j < np; ++j) {
+    const auto out = unit_slice(parity, j, unit_bytes_);
+    const std::span<const std::uint8_t> srcs[] = {txn.bytes(j),
+                                                  entry->delta[j]};
+    core::xor_parity_into(out, srcs);
+    txn.write(j, out);
   }
+  // ONE committed batch: every dirty data unit, every folded parity,
+  // and their checksums.  A crash mid-fold replays the whole record --
+  // the consistent post-image -- on reopen; a failed batch rolls back
+  // to the pre-fold image and the entry is KEPT (its deltas are still
+  // valid against that image), so a later flush retries.
+  if (Status stored = commit(txn, instance, IoClass::kForegroundWrite);
+      !stored.ok())
+    return stored;
   cache_->count_fold(nd);
   cache_->dirty_erase(instance);
   return OkStatus();
@@ -1666,103 +1136,37 @@ Status StripeStore::fold_reencode_locked(std::uint64_t instance,
   if (!width_r.ok()) return width_r.status();
   const std::uint32_t width = *width_r;
   const std::uint32_t kd = width - m;
-  const auto nd = static_cast<std::uint32_t>(entry->units.size());
 
-  // Slab: width media pre-images (compensation), then m new parities.
-  std::vector<std::uint8_t> slab(
-      (static_cast<std::size_t>(width) + m) * unit_bytes_);
-  const auto slice = [&](std::size_t i) {
-    return std::span<std::uint8_t>(slab).subspan(i * unit_bytes_,
-                                                 unit_bytes_);
-  };
-  std::array<Physical, 64> homes;
+  // Gather the whole stripe in codec order (data 0..kd-1, then the
+  // parities): the data set and every rollback pre-image at once.
+  Txn txn(unit_bytes_);
   for (std::uint32_t u = 0; u < width; ++u)
-    homes[u] = Physical{units[u].unit.disk, units[u].unit.offset + lift};
-  if (!views_.empty()) {
-    for (std::uint32_t u = 0; u < width; ++u)
-      std::memcpy(slice(u).data(), unit_view(homes[u]).data(), unit_bytes_);
-  } else {
-    std::vector<IoRequest> loads;
-    loads.reserve(width);
-    for (std::uint32_t u = 0; u < width; ++u)
-      loads.push_back(IoRequest::read_of(IoClass::kForegroundWrite,
-                                         homes[u].disk,
-                                         byte_offset(homes[u].offset),
-                                         slice(u)));
-    if (Status loaded = backend_->execute_batch(loads); !loaded.ok())
-      return loaded;
-  }
+    txn.add(Physical{units[u].unit.disk, units[u].unit.offset + lift});
+  if (Status loaded = gather(txn, IoClass::kForegroundWrite, false);
+      !loaded.ok())
+    return loaded;
 
   // Data set = media bytes with every pinned dirty write overlaid.
   std::array<std::span<const std::uint8_t>, 64> data_spans;
-  for (std::uint32_t u = 0; u < kd; ++u) data_spans[u] = slice(u);
+  for (std::uint32_t u = 0; u < kd; ++u) data_spans[u] = txn.bytes(u);
   for (const StripeCache::DirtyUnit& u : entry->units)
     data_spans[u.data_index] = u.bytes;
+  const auto scratch = txn.scratch(m);
   std::array<std::span<std::uint8_t>, api::kMaxParityUnits> parity_out;
   for (std::uint32_t j = 0; j < m; ++j)
-    parity_out[j] = slice(static_cast<std::size_t>(width) + j);
+    parity_out[j] = unit_slice(scratch, j, unit_bytes_);
   codec.encode({data_spans.data(), kd}, {parity_out.data(), m});
 
-  sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
-  if (!views_.empty()) {
-    for (const StripeCache::DirtyUnit& u : entry->units) {
-      std::memcpy(unit_view(u.home).data(), u.bytes.data(), unit_bytes_);
-      if (Status crc = set_fresh_crc(u.home, u.bytes); !crc.ok()) return crc;
-    }
-    for (std::uint32_t j = 0; j < m; ++j) {
-      std::memcpy(unit_view(homes[kd + j]).data(), parity_out[j].data(),
-                  unit_bytes_);
-      if (Status crc = set_fresh_crc(homes[kd + j], parity_out[j]);
-          !crc.ok())
-        return crc;
-    }
-  } else {
-    std::vector<IoRequest> stores(2 * (static_cast<std::size_t>(nd) + m));
-    std::vector<std::array<std::uint8_t, 4>> crc_staging(
-        static_cast<std::size_t>(nd) + m);
-    for (std::uint32_t i = 0; i < nd; ++i)
-      stores[i] = IoRequest::write_of(
-          IoClass::kForegroundWrite, entry->units[i].home.disk,
-          byte_offset(entry->units[i].home.offset), entry->units[i].bytes);
-    for (std::uint32_t j = 0; j < m; ++j)
-      stores[nd + j] = IoRequest::write_of(IoClass::kForegroundWrite,
-                                           homes[kd + j].disk,
-                                           byte_offset(homes[kd + j].offset),
-                                           parity_out[j]);
-    const std::uint32_t total = stage_crc_writes(stores, nd + m, crc_staging);
-    if (Status stored = execute_batch_journaled({stores.data(), total});
-        !stored.ok()) {
-      // Restore every landed write from its media pre-image: the
-      // instance returns to its pre-fold (still torn) state and the
-      // entry is kept for a later retry.
-      Status compensation;
-      for (std::uint32_t i = 0; i < nd; ++i) {
-        if (!stores[i].status.ok()) continue;
-        if (Status undone = store_unit(entry->units[i].home,
-                                       slice(entry->units[i].data_index));
-            !undone.ok() && compensation.ok())
-          compensation = undone;
-      }
-      for (std::uint32_t j = 0; j < m; ++j) {
-        if (!stores[nd + j].status.ok()) continue;
-        if (Status undone = store_unit(homes[kd + j], slice(kd + j));
-            !undone.ok() && compensation.ok())
-          compensation = undone;
-      }
-      if (compensation.ok() && integrity_) {
-        for (std::uint32_t i = 0; i < nd; ++i)
-          (void)crc_persist(entry->units[i].home);
-        for (std::uint32_t j = 0; j < m; ++j)
-          (void)crc_persist(homes[kd + j]);
-      }
-      // The instance was torn coming in and stays torn; a failed
-      // compensation changes nothing about that.
-      return stored;
-    }
-    commit_staged_crcs({stores.data(), nd + m}, crc_staging);
-  }
+  // A failed commit returns the instance to its pre-fold (still torn)
+  // state and keeps the entry for a later retry.
+  for (const StripeCache::DirtyUnit& u : entry->units)
+    txn.write(u.data_index, u.bytes);
+  for (std::uint32_t j = 0; j < m; ++j) txn.write(kd + j, parity_out[j]);
+  if (Status stored = commit(txn, instance, IoClass::kForegroundWrite);
+      !stored.ok())
+    return stored;
   clear_torn(instance);
-  cache_->count_fold(nd);
+  cache_->count_fold(entry->units.size());
   cache_->dirty_erase(instance);
   return OkStatus();
 }
@@ -1855,172 +1259,123 @@ Status StripeStore::reset_disk_crcs(DiskId disk) {
   // the poison fill would read as garbage claims.
   if (!integrity_) return OkStatus();
   std::fill(crc_[disk].begin(), crc_[disk].end(), 0u);
-  if (!views_.empty()) {
-    std::memset(views_[disk].data() + crc_base_, 0, crc_[disk].size() * 4);
-    return OkStatus();
-  }
   const std::vector<std::uint8_t> zeros(crc_[disk].size() * 4, 0);
   return backend_->write(disk, crc_base_, zeros);
 }
 
-Status StripeStore::apply_step_bytes(const api::RebuildStep& step) {
+Status StripeStore::stage_steps(Txn& txn,
+                                std::span<const api::RebuildStep> steps) {
   // A step that decodes DATA through parity must refuse torn instances:
   // their parity no longer encodes the on-disk data, so the decode would
   // materialize garbage as if it were the lost unit.  (A step that only
   // re-encodes parity FROM data is safe -- it overwrites, not trusts,
   // the parity bytes.)
-  if (step_decodes_data(step))
-    for (std::uint32_t it = 0; it < iterations_; ++it)
-      if (is_torn(step.stripe +
-                  static_cast<std::uint64_t>(it) * array_.num_stripes()))
-        return Status::parity_inconsistent(
-            "rebuild step for stripe " + std::to_string(step.stripe) +
-            " would decode data through a parity-torn instance");
+  for (const api::RebuildStep& step : steps)
+    if (step_decodes_data(step))
+      for (std::uint32_t it = 0; it < iterations_; ++it)
+        if (is_torn(step.stripe +
+                    static_cast<std::uint64_t>(it) * array_.num_stripes()))
+          return Status::parity_inconsistent(
+              "rebuild step for stripe " + std::to_string(step.stripe) +
+              " would decode data through a parity-torn instance");
 
-  // Bytes first, every iteration of the stripe (the step reports
-  // iteration-0 offsets), then the array's state transition.
-  const std::uint32_t n = static_cast<std::uint32_t>(step.reads.size());
-  if (!views_.empty()) {
-    // This commit changes survivor bytes other rebuilders may have
-    // staged: bump the epoch so their commits replan instead of landing
-    // stale bytes (the caller holds the exclusive state lock).
-    sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
-    const std::span<const std::uint32_t> erased{step.erased_index.data(),
-                                                step.num_erased};
+  // The ENTIRE survivor fan-in -- every survivor of every step and
+  // iteration -- is one kRebuild-tagged gather (so a rebuild-
+  // deprioritizing scheduler can hold it behind foreground I/O), then
+  // one decode per iteration leaves the rebuilt units in the
+  // transaction's scratch, which the caller keeps alive through the
+  // commit.
+  for (const api::RebuildStep& step : steps)
     for (std::uint32_t it = 0; it < iterations_; ++it) {
       const std::uint64_t lift =
           static_cast<std::uint64_t>(it) * array_.units_per_disk();
-      const Physical target{step.target.disk, step.target.offset + lift};
-      std::array<std::span<const std::uint8_t>, 64> srcs;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const Physical src{step.reads[i].disk, step.reads[i].offset + lift};
-        srcs[i] = unit_view(src);
-        if (!verify_unit_crc(src, srcs[i]))
-          return Status::checksum_mismatch(
-              "rebuild of stripe " + std::to_string(step.stripe) +
-              ": a survivor unit failed CRC32C verification");
-      }
-      decode_unit(array_.codec(), step.num_data, {srcs.data(), n},
-                  step.read_indices, erased, unit_view(target));
-      if (Status crc = set_fresh_crc(target, unit_view(target)); !crc.ok())
-        return crc;
+      for (const Physical& read : step.reads)
+        txn.add(Physical{read.disk, read.offset + lift});
     }
-    return array_.apply_rebuild_step(step);
-  }
-
-  // Streamed: stage (survivor fan-in + XOR) then commit (target writes
-  // + state transition), back to back -- the caller already holds the
-  // exclusive lock.
-  std::vector<std::uint8_t> slab;
-  std::vector<IoRequest> writes;
-  if (Status staged = stage_step_streamed(step, slab, writes); !staged.ok())
-    return staged;
-  return commit_step_streamed(step, writes);
-}
-
-Status StripeStore::stage_step_streamed(const api::RebuildStep& step,
-                                        std::vector<std::uint8_t>& buffer,
-                                        std::vector<IoRequest>& writes) {
-  // The step's ENTIRE survivor fan-in -- every survivor of every
-  // iteration -- goes out as one kRebuild-tagged submission (so a
-  // rebuild-deprioritizing scheduler can hold it behind foreground
-  // I/O), then one XOR pass per iteration leaves the rebuilt units at
-  // the tail of `buffer`, which the caller keeps alive through the
-  // commit (several steps may be staged before any of them commits).
-  if (step_decodes_data(step))
-    for (std::uint32_t it = 0; it < iterations_; ++it)
-      if (is_torn(step.stripe +
-                  static_cast<std::uint64_t>(it) * array_.num_stripes()))
-        return Status::parity_inconsistent(
-            "rebuild step for stripe " + std::to_string(step.stripe) +
-            " would decode data through a parity-torn instance");
-  const std::uint32_t n = static_cast<std::uint32_t>(step.reads.size());
-  const std::size_t total = static_cast<std::size_t>(n) * iterations_;
-  buffer.resize((total + iterations_) * unit_bytes_);
-  const std::span<std::uint8_t> slab{buffer.data(), buffer.size()};
-  std::vector<IoRequest> reads;
-  reads.reserve(total);
-  for (std::uint32_t it = 0; it < iterations_; ++it) {
-    const std::uint64_t lift =
-        static_cast<std::uint64_t>(it) * array_.units_per_disk();
-    for (std::uint32_t i = 0; i < n; ++i)
-      reads.push_back(IoRequest::read_of(
-          IoClass::kRebuild, step.reads[i].disk,
-          byte_offset(step.reads[i].offset + lift),
-          slab.subspan((static_cast<std::size_t>(it) * n + i) * unit_bytes_,
-                       unit_bytes_)));
-  }
-  if (Status fanned = backend_->execute_batch(reads); !fanned.ok())
+  if (Status fanned = gather(txn, IoClass::kRebuild, true); !fanned.ok())
     return fanned;
-  if (integrity_)
-    for (std::uint32_t it = 0; it < iterations_; ++it) {
-      const std::uint64_t lift =
-          static_cast<std::uint64_t>(it) * array_.units_per_disk();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const Physical src{step.reads[i].disk, step.reads[i].offset + lift};
-        if (!verify_unit_crc(
-                src, reads[static_cast<std::size_t>(it) * n + i].read_buf))
-          return Status::checksum_mismatch(
-              "rebuild of stripe " + std::to_string(step.stripe) +
-              ": a survivor unit failed CRC32C verification");
-      }
-    }
-
-  writes.clear();
-  writes.reserve(iterations_);
-  const std::span<const std::uint32_t> erased{step.erased_index.data(),
-                                              step.num_erased};
-  for (std::uint32_t it = 0; it < iterations_; ++it) {
-    const std::uint64_t lift =
-        static_cast<std::uint64_t>(it) * array_.units_per_disk();
-    const auto rebuilt =
-        slab.subspan((total + it) * unit_bytes_, unit_bytes_);
-    std::array<std::span<const std::uint8_t>, 64> srcs;
-    for (std::uint32_t i = 0; i < n; ++i)
-      srcs[i] = reads[static_cast<std::size_t>(it) * n + i].read_buf;
-    decode_unit(array_.codec(), step.num_data, {srcs.data(), n},
-                step.read_indices, erased, rebuilt);
-    writes.push_back(IoRequest::write_of(IoClass::kRebuild, step.target.disk,
-                                         byte_offset(step.target.offset + lift),
-                                         rebuilt));
+  const auto rebuilt = txn.scratch(steps.size() * iterations_);
+  std::size_t next = 0;
+  std::size_t target = 0;
+  for (const api::RebuildStep& step : steps) {
+    const std::size_t n = step.reads.size();
+    for (std::uint32_t it = 0; it < iterations_; ++it, next += n)
+      decode_unit(array_.codec(), step.num_data, txn.bytes(next, n),
+                  step.read_indices,
+                  {step.erased_index.data(), step.num_erased},
+                  unit_slice(rebuilt, target++, unit_bytes_));
   }
   return OkStatus();
 }
 
-Status StripeStore::commit_step_streamed(const api::RebuildStep& step,
-                                         std::span<IoRequest> writes) {
-  if (Status stored = backend_->execute_batch(writes); !stored.ok())
-    return stored;
-  // Rebuilt targets get fresh checksums.  (Not journaled: a crash here
-  // leaves at most the target units checksum-stale, which the
-  // reopen-time heal reconstructs -- rebuild is re-runnable anyway.)
-  if (integrity_)
-    for (const IoRequest& w : writes) {
-      const Physical target{w.disk, w.offset / unit_bytes_};
-      if (Status crc = set_fresh_crc(target, w.write_buf); !crc.ok())
-        return crc;
+Status StripeStore::commit_steps(Txn& txn,
+                                 std::span<const api::RebuildStep> steps) {
+  const auto rebuilt = txn.scratch(steps.size() * iterations_);
+  std::vector<IoRequest>& batch = txn.buf.requests;
+  batch.clear();
+  for (const api::RebuildStep& step : steps)
+    for (std::uint32_t it = 0; it < iterations_; ++it) {
+      const std::uint64_t lift =
+          static_cast<std::uint64_t>(it) * array_.units_per_disk();
+      batch.push_back(IoRequest::write_of(
+          IoClass::kRebuild, step.target.disk,
+          byte_offset(step.target.offset + lift),
+          unit_slice(rebuilt, batch.size(), unit_bytes_)));
     }
+  // Rebuilt targets carry fresh checksums in the same batch.  (Not
+  // journaled: a crash here leaves at most target units checksum-stale,
+  // which the reopen-time heal reconstructs -- rebuild is re-runnable
+  // anyway.)
+  stage_crc_words(txn, IoClass::kRebuild);
+  if (Status stored = backend_->execute_batch(batch); !stored.ok())
+    return stored;
+  record_crc_words(txn);
   // The landed target bytes are survivor bytes from any OTHER
   // rebuilder's perspective: bump the epoch so a concurrently staged
-  // chunk replans instead of committing stale reads.  (Before this
-  // bump, a second rebuilder's staleness was only caught by
+  // chunk replans instead of committing stale reads.  (Without this
+  // bump, a second rebuilder's staleness would only be caught by
   // apply_rebuild_step's kFailedPrecondition -- a hard error rather
   // than a retry.)  The caller holds the exclusive state lock, and
   // every epoch access happens under the state mutex, so relaxed
   // ordering suffices.
   sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
-  return array_.apply_rebuild_step(step);
+  for (const api::RebuildStep& step : steps)
+    if (Status applied = array_.apply_rebuild_step(step); !applied.ok())
+      return applied;
+  return OkStatus();
 }
 
-Status StripeStore::apply_step_healing(const api::RebuildStep& step) {
-  Status done = apply_step_bytes(step);
-  if (done.code() != StatusCode::kChecksumMismatch) return done;
-  // A survivor failed verification: heal every iteration instance of
-  // the stripe (the exclusive state lock excludes all other traffic),
-  // then retry the step once.  Unhealable rot surfaces the mismatch.
-  for (std::uint32_t it = 0; it < iterations_; ++it)
-    (void)heal_instance_locked(step.stripe, it, nullptr);
-  return apply_step_bytes(step);
+Status StripeStore::heal_staged(const Txn& txn,
+                                std::span<const api::RebuildStep> steps) {
+  Status healed;
+  std::size_t next = 0;
+  for (const api::RebuildStep& step : steps)
+    for (std::uint32_t it = 0; it < iterations_; ++it) {
+      bool rot = false;
+      for (std::size_t i = 0; i < step.reads.size(); ++i, ++next)
+        if (txn.status(next).code() == StatusCode::kChecksumMismatch)
+          rot = true;
+      if (!rot) continue;
+      if (Status one = heal_instance_locked(step.stripe, it, nullptr);
+          !one.ok() && healed.ok())
+        healed = std::move(one);
+    }
+  return healed;
+}
+
+Status StripeStore::apply_steps_locked(
+    std::span<const api::RebuildStep> steps) {
+  for (int attempt = 0;; ++attempt) {
+    Txn txn(unit_bytes_);
+    const Status staged = stage_steps(txn, steps);
+    if (staged.ok()) return commit_steps(txn, steps);
+    if (staged.code() != StatusCode::kChecksumMismatch || attempt > 0)
+      return staged;
+    // A survivor failed verification: heal its instances (the exclusive
+    // state lock excludes all other traffic), then restage once.
+    // Unhealable rot surfaces the mismatch.
+    (void)heal_staged(txn, steps);
+  }
 }
 
 Result<std::uint64_t> StripeStore::rebuild_some(std::uint64_t max_steps,
@@ -2032,8 +1387,6 @@ Result<std::uint64_t> StripeStore::rebuild_some(std::uint64_t max_steps,
     // applied before re-planning -- the same plan-once-apply-all
     // discipline as api::Array::rebuild, so the store's target choices
     // (spare vs replacement slot) match a bare array's step for step.
-    // View-backed stores apply the batch right here: zero-copy XOR is
-    // pure memory bandwidth, there is no disk queue to compete in.
     std::vector<api::RebuildStep> steps;
     std::uint64_t epoch = 0;
     {
@@ -2042,14 +1395,6 @@ Result<std::uint64_t> StripeStore::rebuild_some(std::uint64_t max_steps,
       if (!plan.ok()) return plan.status();
       if (blocked) *blocked = plan->blocked;
       if (plan->steps.empty() || applied >= max_steps) return applied;
-      if (!views_.empty()) {
-        for (const api::RebuildStep& step : plan->steps) {
-          if (applied >= max_steps) break;
-          if (Status done = apply_step_healing(step); !done.ok()) return done;
-          ++applied;
-        }
-        continue;
-      }
       steps = std::move(plan->steps);
       epoch = sync_->write_epoch.load(std::memory_order_relaxed);
     }
@@ -2066,6 +1411,8 @@ Result<std::uint64_t> StripeStore::rebuild_some(std::uint64_t max_steps,
       constexpr std::size_t kMaxStageShards = 16;
       const std::size_t chunk = static_cast<std::size_t>(std::min<std::uint64_t>(
           {steps.size() - next, max_steps - applied, kMaxStageChunk}));
+      const std::span<const api::RebuildStep> batch{steps.data() + next,
+                                                    chunk};
 
       // The chunk's stripe shard locks -- shared, one per iteration
       // instance, sorted like read_batch's -- exclude byte-level
@@ -2074,81 +1421,46 @@ Result<std::uint64_t> StripeStore::rebuild_some(std::uint64_t max_steps,
       // caught by the epoch check below.
       std::vector<std::shared_mutex*> shards;
       shards.reserve(chunk * iterations_);
-      for (std::size_t j = 0; j < chunk; ++j)
+      for (const api::RebuildStep& step : batch)
         for (std::uint32_t it = 0; it < iterations_; ++it) {
           const std::uint64_t instance =
-              steps[next + j].stripe +
+              step.stripe +
               static_cast<std::uint64_t>(it) * array_.num_stripes();
           shards.push_back(&sync_->shards[instance % sync_->shards.size()]);
         }
       std::sort(shards.begin(), shards.end());
       shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-      if (shards.size() > kMaxStageShards) {
-        // Degenerate geometry (huge iteration counts sweep most of the
-        // shard pool): apply the chunk under the exclusive lock rather
-        // than hold half the pool across a scheduler-delayed wave.
-        std::unique_lock lock(sync_->state);
-        if (sync_->write_epoch.load(std::memory_order_relaxed) != epoch) {
-          Status done = apply_step_healing(steps[next]);
-          if (done.ok())
-            ++applied;
-          else if (done.code() != StatusCode::kFailedPrecondition)
-            return done;
+
+      // A chunk whose shard set is degenerate (huge iteration counts
+      // sweep most of the shard pool) skips the shared stage and is
+      // staged under the exclusive lock below instead, rather than hold
+      // half the pool across a scheduler-delayed wave.
+      const bool shared_stage = shards.size() <= kMaxStageShards;
+      Txn txn(unit_bytes_);
+      if (shared_stage) {
+        // Stage the chunk under ONE SHARED lock hold: foreground reads
+        // and writes keep submitting, so rebuild reads genuinely compete
+        // in the disk queues, and the store pays one state-lock
+        // round-trip per chunk instead of per step.
+        Status staged;
+        {
+          std::shared_lock lock(sync_->state);
+          std::vector<std::shared_lock<std::shared_mutex>> held;
+          held.reserve(shards.size());
+          for (std::shared_mutex* shard : shards) held.emplace_back(*shard);
+          staged = stage_steps(txn, batch);
+        }
+        if (!staged.ok()) {
+          if (staged.code() != StatusCode::kChecksumMismatch) return staged;
+          // A staged survivor failed verification: heal its instances
+          // under the exclusive lock (the heal's commit bumps the
+          // epoch, invalidating any other rebuilder's staged bytes) and
+          // re-plan.  Unhealable rot surfaces on the retried stage.
+          std::unique_lock lock(sync_->state);
+          if (!heal_staged(txn, batch).ok()) return staged;  // unhealable
           replan = true;
           break;
         }
-        for (std::size_t j = 0; j < chunk; ++j) {
-          if (Status done = apply_step_healing(steps[next + j]); !done.ok())
-            return done;
-          ++applied;
-        }
-        // Our own commits bumped the epoch; re-snapshot under the still-
-        // held exclusive lock so the NEXT chunk is not spuriously
-        // replanned.  Sound: staged reads never include lost targets,
-        // so this thread's commits cannot invalidate its later chunks.
-        epoch = sync_->write_epoch.load(std::memory_order_relaxed);
-        next += chunk;
-        continue;
-      }
-
-      // Stage the chunk under ONE SHARED lock hold: foreground reads
-      // and writes keep submitting, so rebuild reads genuinely compete
-      // in the disk queues, and the store pays one state-lock
-      // round-trip per chunk instead of per step.
-      std::vector<std::vector<std::uint8_t>> slabs(chunk);
-      std::vector<std::vector<IoRequest>> writes(chunk);
-      Status staging_rot;
-      std::size_t rot_step = 0;
-      {
-        std::shared_lock lock(sync_->state);
-        std::vector<std::shared_lock<std::shared_mutex>> held;
-        held.reserve(shards.size());
-        for (std::shared_mutex* shard : shards) held.emplace_back(*shard);
-        for (std::size_t j = 0; j < chunk; ++j)
-          if (Status staged = stage_step_streamed(steps[next + j], slabs[j],
-                                                  writes[j]);
-              !staged.ok()) {
-            if (staged.code() != StatusCode::kChecksumMismatch) return staged;
-            staging_rot = std::move(staged);
-            rot_step = j;
-            break;
-          }
-      }
-      if (!staging_rot.ok()) {
-        // A staged survivor failed verification: heal the step's
-        // instances under the exclusive lock (the heal's writes bump
-        // the epoch, invalidating any other rebuilder's staged bytes)
-        // and re-plan.  Unhealable rot surfaces on the retried stage.
-        std::unique_lock lock(sync_->state);
-        Status healed;
-        for (std::uint32_t it = 0; it < iterations_; ++it) {
-          Status one =
-              heal_instance_locked(steps[next + rot_step].stripe, it, nullptr);
-          if (!one.ok() && healed.ok()) healed = one;
-        }
-        if (!healed.ok()) return staging_rot;  // unhealable (or torn): stop
-        replan = true;
-        break;
       }
 
       // Commit the chunk under ONE exclusive lock hold.  An unchanged
@@ -2162,7 +1474,7 @@ Result<std::uint64_t> StripeStore::rebuild_some(std::uint64_t max_steps,
       // kFailedPrecondition.
       std::unique_lock lock(sync_->state);
       if (sync_->write_epoch.load(std::memory_order_relaxed) != epoch) {
-        Status done = apply_step_healing(steps[next]);
+        Status done = apply_steps_locked(batch.first(1));
         if (done.ok())
           ++applied;
         else if (done.code() != StatusCode::kFailedPrecondition)
@@ -2170,16 +1482,14 @@ Result<std::uint64_t> StripeStore::rebuild_some(std::uint64_t max_steps,
         replan = true;
         break;
       }
-      for (std::size_t j = 0; j < chunk; ++j) {
-        if (Status done = commit_step_streamed(steps[next + j], writes[j]);
-            !done.ok())
-          return done;
-        ++applied;
-      }
+      const Status done = shared_stage ? commit_steps(txn, batch)
+                                       : apply_steps_locked(batch);
+      if (!done.ok()) return done;
+      applied += chunk;
       // Re-snapshot: the commits above bumped the epoch (see
-      // commit_step_streamed), and this thread's own commits never
-      // invalidate its later staged chunks (staged reads exclude every
-      // lost target), so the next chunk must not replan on our account.
+      // commit_steps), and this thread's own commits never invalidate
+      // its later staged chunks (staged reads exclude every lost
+      // target), so the next chunk must not replan on our account.
       epoch = sync_->write_epoch.load(std::memory_order_relaxed);
       next += chunk;
     }
@@ -2208,10 +1518,6 @@ Result<std::uint64_t> StripeStore::checksum_disk_locked(DiskId disk) const {
   // Data region only: the checksum region (under integrity) is derived
   // state, and two stores with identical content must checksum equal
   // regardless of which units have been verified/adopted so far.
-  if (!views_.empty() && disk < views_.size())
-    return fnv1a(kFnvOffset,
-                 views_[disk].first(static_cast<std::size_t>(disk_bytes())));
-
   // Stream the image through a bounded buffer.
   constexpr std::uint64_t kChunk = 1u << 18;
   std::vector<std::uint8_t> chunk(
@@ -2288,53 +1594,36 @@ Status StripeStore::heal_instance_locked(std::uint32_t stripe,
   const std::uint64_t lift =
       static_cast<std::uint64_t>(iteration) * array_.units_per_disk();
 
-  // Load every present unit: views in place, one kScrub batch else.
-  const auto slab = arena(static_cast<std::size_t>(width) * unit_bytes_);
-  std::array<std::span<const std::uint8_t>, 64> bytes{};
-  std::array<Physical, 64> homes;
-  std::array<bool, 64> present{};
-  std::array<IoRequest, 64> loads;
-  std::uint32_t num_loads = 0;
-  for (std::uint32_t u = 0; u < width; ++u) {
-    if (units[u].lost) continue;
-    present[u] = true;
-    homes[u] = Physical{units[u].unit.disk, units[u].unit.offset + lift};
-    if (!views_.empty()) {
-      bytes[u] = unit_view(homes[u]);
-    } else {
-      const auto slice =
-          slab.subspan(static_cast<std::size_t>(u) * unit_bytes_, unit_bytes_);
-      loads[num_loads++] = IoRequest::read_of(
-          IoClass::kScrub, homes[u].disk, byte_offset(homes[u].offset), slice);
-      bytes[u] = slice;
-    }
-  }
-  if (num_loads > 0)
-    if (Status fanned = backend_->execute_batch({loads.data(), num_loads});
-        !fanned.ok())
-      return fanned;
-
-  // Classify: lost units are erased; present units whose stored
-  // checksum disagrees with their bytes are erased too (detected rot).
+  // Gather every present unit in one kScrub transaction, unverified:
+  // the classification below needs every unit's verdict, not the first.
+  // Lost units are erased outright.
+  Txn txn(unit_bytes_);
   std::array<std::uint32_t, 64> erased_idx;
   std::uint32_t num_erased = 0;
+  for (std::uint32_t u = 0; u < width; ++u) {
+    if (units[u].lost)
+      erased_idx[num_erased++] = u;
+    else
+      txn.add(Physical{units[u].unit.disk, units[u].unit.offset + lift}, u);
+  }
+  if (Status loaded = gather(txn, IoClass::kScrub, false); !loaded.ok())
+    return loaded;
+
+  // Classify: present units whose stored checksum disagrees with their
+  // bytes are erased too (detected rot).
   std::array<bool, 64> bad{};
   std::uint32_t num_bad = 0;
-  for (std::uint32_t u = 0; u < width; ++u) {
-    if (!present[u]) {
-      erased_idx[num_erased++] = u;
-      continue;
-    }
-    const std::uint32_t stored = crc_[homes[u].disk][homes[u].offset];
+  for (std::uint32_t g = 0; g < txn.size(); ++g) {
+    const std::uint32_t stored = crc_[txn.unit(g).disk][txn.unit(g).offset];
     if (stored == 0) continue;  // unverified: adopted below
-    if (core::crc32c_nonzero(bytes[u]) == stored) {
+    if (core::crc32c_nonzero(txn.bytes(g)) == stored) {
       sync_->crc_verified.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     sync_->crc_mismatches.fetch_add(1, std::memory_order_relaxed);
     if (report) ++report->mismatches;
-    bad[u] = true;
-    erased_idx[num_erased++] = u;
+    bad[g] = true;
+    erased_idx[num_erased++] = txn.buf.index[g];
     ++num_bad;
   }
 
@@ -2350,66 +1639,47 @@ Status StripeStore::heal_instance_locked(std::uint32_t stripe,
 
   if (num_bad > 0) {
     // Mismatch == erasure: reconstruct each bad unit from the good
-    // survivors (lost units stay erased but unmaterialized) and
-    // rewrite it with a fresh checksum -- one journaled record on
-    // streamed backends, so a crash mid-heal replays whole.
+    // survivors (lost units stay erased but unmaterialized) and commit
+    // it with a fresh checksum -- one journaled record, so a crash
+    // mid-heal replays whole.
     std::array<std::span<const std::uint8_t>, 64> survivors;
     std::array<std::uint32_t, 64> survivor_idx;
     std::uint32_t ns = 0;
-    for (std::uint32_t u = 0; u < width; ++u)
-      if (present[u] && !bad[u]) {
-        survivors[ns] = bytes[u];
-        survivor_idx[ns++] = u;
+    for (std::uint32_t g = 0; g < txn.size(); ++g)
+      if (!bad[g]) {
+        survivors[ns] = txn.bytes(g);
+        survivor_idx[ns++] = txn.buf.index[g];
       }
-    const auto heal_slab =
-        scratch(0, static_cast<std::size_t>(num_bad) * unit_bytes_);
+    const auto healed = txn.scratch(num_bad);
     std::array<std::span<std::uint8_t>, api::kMaxParityUnits> outs{};
-    std::uint32_t buf = 0;
-    for (std::uint32_t e = 0; e < num_erased; ++e)
-      if (bad[erased_idx[e]])
-        outs[e] = heal_slab.subspan(
-            static_cast<std::size_t>(buf++) * unit_bytes_, unit_bytes_);
+    std::uint32_t e = num_erased - num_bad;  // the bad units' first entry
+    for (std::uint32_t g = 0, k = 0; g < txn.size(); ++g)
+      if (bad[g]) {
+        outs[e] = unit_slice(healed, k++, unit_bytes_);
+        txn.write(g, outs[e++]);
+      }
     codec.reconstruct(kd, {survivors.data(), ns}, {survivor_idx.data(), ns},
                       {erased_idx.data(), num_erased},
                       {outs.data(), num_erased});
-    // The healed bytes are landed state: bump the epoch so any
-    // concurrently staged rebuild chunk replans over them.
-    sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
-    if (!views_.empty()) {
-      for (std::uint32_t e = 0; e < num_erased; ++e) {
-        const std::uint32_t u = erased_idx[e];
-        if (!bad[u]) continue;
-        std::memcpy(unit_view(homes[u]).data(), outs[e].data(), unit_bytes_);
-        if (Status crc = set_fresh_crc(homes[u], outs[e]); !crc.ok())
-          return crc;
-      }
-    } else {
-      std::array<IoRequest, 2 * api::kMaxParityUnits> stores;
-      std::array<std::array<std::uint8_t, 4>, api::kMaxParityUnits> staging;
-      std::uint32_t num_stores = 0;
-      for (std::uint32_t e = 0; e < num_erased; ++e) {
-        const std::uint32_t u = erased_idx[e];
-        if (!bad[u]) continue;
-        stores[num_stores++] =
-            IoRequest::write_of(IoClass::kScrub, homes[u].disk,
-                                byte_offset(homes[u].offset), outs[e]);
-      }
-      const std::uint32_t total = stage_crc_writes(stores, num_stores, staging);
-      if (Status stored = execute_batch_journaled({stores.data(), total});
-          !stored.ok())
-        return stored;
-      commit_staged_crcs({stores.data(), num_stores}, staging);
-    }
+    if (Status stored = commit(txn, instance, IoClass::kScrub); !stored.ok())
+      return stored;
     sync_->crc_healed.fetch_add(num_bad, std::memory_order_relaxed);
     if (report) report->healed += num_bad;
   }
 
   // Adopt unverified good units: their current bytes become the claim,
   // so future reads of them are actually verified.
-  for (std::uint32_t u = 0; u < width; ++u) {
-    if (!present[u] || bad[u]) continue;
-    if (crc_[homes[u].disk][homes[u].offset] != 0) continue;
-    if (Status crc = set_fresh_crc(homes[u], bytes[u]); !crc.ok()) return crc;
+  for (std::uint32_t g = 0; g < txn.size(); ++g) {
+    const Physical p = txn.unit(g);
+    if (bad[g] || crc_[p.disk][p.offset] != 0) continue;
+    const std::uint32_t crc = core::crc32c_nonzero(txn.bytes(g));
+    std::array<std::uint8_t, 4> word;
+    std::memcpy(word.data(), &crc, 4);
+    if (Status persisted =
+            backend_->write(p.disk, crc_media_offset(p.offset), word);
+        !persisted.ok())
+      return persisted;
+    crc_[p.disk][p.offset] = crc;
     sync_->crc_adopted.fetch_add(1, std::memory_order_relaxed);
   }
   return OkStatus();
@@ -2468,37 +1738,27 @@ Result<std::uint64_t> StripeStore::verify_stripes() {
     for (std::uint32_t it = 0; it < iterations_; ++it) {
       const std::uint64_t lift =
           static_cast<std::uint64_t>(it) * array_.units_per_disk();
-      const auto slab =
-          arena(static_cast<std::size_t>(width + m) * unit_bytes_);
+      Txn txn(unit_bytes_);
+      for (std::uint32_t u = 0; u < width; ++u)
+        txn.add(Physical{units[u].unit.disk, units[u].unit.offset + lift});
+      if (Status loaded = gather(txn, IoClass::kScrub, false); !loaded.ok())
+        return loaded;
       bool bad = is_torn(stripe +
                          static_cast<std::uint64_t>(it) * array_.num_stripes());
-      std::array<std::span<const std::uint8_t>, 64> data_spans{};
-      std::array<std::span<const std::uint8_t>, api::kMaxParityUnits> actual{};
-      Status io;
-      for (std::uint32_t u = 0; u < width && io.ok(); ++u) {
-        const Physical home{units[u].unit.disk, units[u].unit.offset + lift};
-        const auto buf = slab.subspan(
-            static_cast<std::size_t>(u) * unit_bytes_, unit_bytes_);
-        io = load_unit(home, buf);
-        if (!io.ok()) break;
-        if (integrity_) {
-          const std::uint32_t stored = crc_[home.disk][home.offset];
-          if (stored != 0 && core::crc32c_nonzero(buf) != stored) bad = true;
-        }
-        if (u < kd)
-          data_spans[u] = buf;
-        else
-          actual[u - kd] = buf;
+      for (std::uint32_t u = 0; u < width && integrity_; ++u) {
+        const std::uint32_t stored = crc_[txn.unit(u).disk][txn.unit(u).offset];
+        if (stored != 0 && core::crc32c_nonzero(txn.bytes(u)) != stored)
+          bad = true;
       }
-      if (!io.ok()) return io;
       // Parity must re-encode byte-identically from the stored data.
+      const auto scratch = txn.scratch(m);
       std::array<std::span<std::uint8_t>, api::kMaxParityUnits> expect{};
       for (std::uint32_t j = 0; j < m; ++j)
-        expect[j] = slab.subspan(
-            static_cast<std::size_t>(width + j) * unit_bytes_, unit_bytes_);
-      codec.encode({data_spans.data(), kd}, {expect.data(), m});
+        expect[j] = unit_slice(scratch, j, unit_bytes_);
+      codec.encode(txn.bytes(0, kd), {expect.data(), m});
       for (std::uint32_t j = 0; j < m; ++j)
-        if (std::memcmp(expect[j].data(), actual[j].data(), unit_bytes_) != 0)
+        if (std::memcmp(expect[j].data(), txn.bytes(kd + j).data(),
+                        unit_bytes_) != 0)
           bad = true;
       if (bad) ++inconsistent;
     }

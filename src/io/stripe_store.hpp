@@ -26,23 +26,30 @@
 ///     after which the store serves the exact bytes written before the
 ///     failure (checksum-identical for in-place rebuilds).
 ///
-/// Torn parity: when a write's compensation path itself fails (two
-/// substrate faults inside one RMW), the stripe instance's parity no
-/// longer matches its data.  The store marks the instance TORN and every
+/// Torn parity: when a write's rollback itself fails (two substrate
+/// faults inside one commit), the stripe instance's parity no longer
+/// matches its data.  The store marks the instance TORN and every
 /// parity-trusting operation on it (degraded reads, RMW, rebuild of a
 /// data unit) returns a typed kParityInconsistent Status instead of
 /// serving silently-wrong reconstructions.  A later successful write to
 /// the instance heals it: the store re-encodes every surviving parity
 /// from the full data set and clears the flag.
 ///
-/// Backends: when the backend exposes zero-copy memory views
-/// (MemoryBackend), the store serves straight out of the disk images with
-/// no copies or syscalls; otherwise (FileBackend, decorators) every unit
-/// moves through DiskBackend::read/write and substrate errors surface as
-/// typed kIoError Statuses from the store's own calls.  A store re-created
-/// over a persistent backend's existing image (file reopen) serves the
-/// bytes a previous process wrote -- parity was maintained write-by-write,
-/// so degraded reads and rebuilds work across restarts.
+/// Backends: every byte path is one stripe transaction.  Its gather
+/// reads the units the path needs in one batched submission (checking
+/// their checksums when asked); its commit lands the new units and
+/// their checksums as one journaled batch and, if that batch fails
+/// partway, rewrites every landed unit from the gathered old bytes (see
+/// docs/ARCHITECTURE.md "Stripe transactions").  Only the gather knows
+/// about zero-copy memory views (MemoryBackend): there its spans point
+/// straight into the disk images, so reads, degraded decodes, the old
+/// bytes of a small write and rebuild survivors cost no copy and no
+/// backend call.  Every write crosses DiskBackend::execute_batch on
+/// every backend, and substrate errors surface as typed kIoError
+/// Statuses from the store's own calls.  A store re-created over a
+/// persistent backend's existing image (file reopen) serves the bytes a
+/// previous process wrote -- parity was maintained write-by-write, so
+/// degraded reads and rebuilds work across restarts.
 ///
 /// Concurrency: the store layers the readers-writer discipline that
 /// api::Array's external-synchronization contract asks for.  A
@@ -58,7 +65,7 @@
 /// scheme is deadlock-free.  The same sharding is what discharges the
 /// backend's "overlapping writes are externally serialized" demand.
 ///
-/// Online rebuild stages each streamed step's survivor fan-in under the
+/// Online rebuild stages each chunk of steps' survivor fan-in under the
 /// SHARED state lock (plus the step's stripe shard locks, also shared),
 /// so foreground reads and writes keep submitting while rebuild reads
 /// sit in the same disk queues -- this is what makes an IoScheduler's
@@ -283,10 +290,10 @@ class StripeStore {
   /// from survivor bytes into their spare/replacement slots, then
   /// advances the array's rebuild state.  Returns the number of stripes
   /// repaired; 0 means nothing is currently rebuildable (`blocked`, when
-  /// given, receives the count still waiting on replace_disk).  On
-  /// streamed backends each step's survivor fan-in runs under the SHARED
-  /// state lock -- foreground reads and writes proceed concurrently with
-  /// rebuild I/O, competing in the backend's disk queues -- and only the
+  /// given, receives the count still waiting on replace_disk).  Each
+  /// step's survivor fan-in runs under the SHARED state lock --
+  /// foreground reads and writes proceed concurrently with rebuild I/O,
+  /// competing in the backend's disk queues -- and only the
   /// short commit (target writes + state transition) excludes them; see
   /// the file comment for the validation protocol.  Drive it from a
   /// rebuilder thread for online rebuild.
@@ -393,21 +400,6 @@ class StripeStore {
       const noexcept {
     return unit_offset * unit_bytes_;
   }
-  /// Zero-copy view of a unit, or empty when the backend has none.
-  [[nodiscard]] std::span<std::uint8_t> unit_view(Physical p) const noexcept {
-    if (views_.empty()) return {};
-    return views_[p.disk].subspan(
-        static_cast<std::size_t>(byte_offset(p.offset)), unit_bytes_);
-  }
-  /// Loads a unit's bytes into `out` (view memcpy or backend read).
-  [[nodiscard]] Status load_unit(Physical p, std::span<std::uint8_t> out);
-  /// acc ^= unit's bytes, staging through `scratch` when there is no
-  /// zero-copy view.  Both spans are unit_bytes() wide.
-  [[nodiscard]] Status xor_unit_into(Physical p, std::span<std::uint8_t> acc,
-                                     std::span<std::uint8_t> scratch);
-  /// Stores `data` as the unit's bytes (view memcpy or backend write).
-  [[nodiscard]] Status store_unit(Physical p,
-                                  std::span<const std::uint8_t> data);
   [[nodiscard]] std::shared_mutex& shard_for(std::uint64_t logical) noexcept;
   /// The (stripe, iteration) instance key of a logical unit -- the torn
   /// set's and the shard hash's common currency.
@@ -416,36 +408,80 @@ class StripeStore {
   [[nodiscard]] bool is_torn(std::uint64_t instance) const;
   void mark_torn(std::uint64_t instance);
   void clear_torn(std::uint64_t instance);
-  /// read()'s body; caller holds the state lock (shared) and the
-  /// logical's shard lock.  kChecksumMismatch (internal sentinel) when a
-  /// touched unit fails verification -- the public read() heals and
-  /// retries before surfacing it.
-  [[nodiscard]] Status read_locked(std::uint64_t logical,
+
+  // ---------------------------------------------- the stripe transaction
+
+  /// One stripe transaction's working set: the units it gathers, their
+  /// bytes and outcomes, scratch for the bytes it computes, and the
+  /// writes its commit lands.  Defined in the .cpp; every byte path of
+  /// the store runs on one.
+  struct Txn;
+  /// The gather step: reads every unit queued on `txn` in ONE batched
+  /// submission and points txn's byte spans at them -- straight into the
+  /// disk image on a backend with memory views (no copy, no backend
+  /// call), into the transaction's staging buffer otherwise.  With
+  /// `verify`, each unit is checked against its cached CRC.  Records
+  /// every unit's own outcome (kIoError, kChecksumMismatch) on the
+  /// transaction and returns the first failure.  The only reader of
+  /// views_ besides create().
+  [[nodiscard]] Status gather(Txn& txn, IoClass io_class, bool verify);
+  /// The commit step: writes txn's queued (unit, new bytes) pairs in
+  /// order, then each unit's CRC word, as ONE journaled batch, and
+  /// records the new CRCs.  When the batch fails partway it rewrites
+  /// every landed unit from its gathered old bytes and restores every
+  /// landed CRC word, then returns the batch's error; when that rollback
+  /// fails too it marks `instance` torn and returns kParityInconsistent.
+  /// Every commit bumps the write epoch.
+  [[nodiscard]] Status commit(Txn& txn, std::uint64_t instance,
+                              IoClass io_class);
+  /// execute_batch through the backend's write-ahead journal when it
+  /// has one: the record is durable before the in-place writes start
+  /// and retired after they finish, closing the crash-mid-RMW hole.
+  [[nodiscard]] Status execute_batch_journaled(std::span<IoRequest> batch);
+  /// Appends one CRC-word write per unit write in txn's batch, computed
+  /// over the unit's new bytes.  The checksums ride in the SAME batch --
+  /// and the same journal record -- as the units, so replay restores
+  /// units and checksums together.  No-op when the layer is off.
+  void stage_crc_words(Txn& txn, IoClass io_class);
+  /// Adopts the staged CRC words into the cache once their batch landed.
+  void record_crc_words(const Txn& txn);
+
+  // ------------------------------------------------------- byte paths
+
+  /// One logical unit of a read (read()'s and read_batch's bookkeeping).
+  struct ReadSlot;
+  /// read() and read_batch()'s shared body: plans every logical, serves
+  /// cache hits, gathers every direct target and degraded survivor in
+  /// one transaction, then copies or decodes each unit into `out`.
+  /// Caller holds the state lock (shared or exclusive) and, when shared,
+  /// every involved shard lock; slots, statuses and (when non-empty)
+  /// receipts parallel logicals.  kChecksumMismatch (internal sentinel)
+  /// marks a unit whose bytes failed verification -- the public calls
+  /// heal and retry before surfacing it.
+  [[nodiscard]] Status read_locked(std::span<const std::uint64_t> logicals,
                                    std::span<std::uint8_t> out,
-                                   ReadReceipt* receipt);
-  /// read_batch's single-pass body (locks, gather, fan-out, resolve);
-  /// the public read_batch retries kChecksumMismatch units through
-  /// read() -- which heals -- after this returns.
-  [[nodiscard]] Status read_batch_once(std::span<const std::uint64_t> logicals,
-                                       std::span<std::uint8_t> out,
-                                       std::span<Status> statuses,
-                                       std::span<ReadReceipt> receipts);
+                                   std::span<Status> statuses,
+                                   std::span<ReadReceipt> receipts,
+                                   std::span<ReadSlot> slots);
   /// write()'s plan-and-dispatch body; caller holds the state lock
-  /// (shared) and the logical's shard lock (exclusive) and has bumped
-  /// the epoch.  kChecksumMismatch when a unit loaded for parity
-  /// maintenance fails verification -- write() heals and retries.
+  /// (shared) and the logical's shard lock (exclusive).
+  /// kChecksumMismatch when a unit loaded for parity maintenance fails
+  /// verification -- write() heals and retries.
   [[nodiscard]] Status write_locked(std::uint64_t logical,
                                     std::span<const std::uint8_t> data,
                                     WriteReceipt* receipt);
-  /// RMW fold into multiple surviving parities (Reed-Solomon data path);
-  /// caller holds the locks and has bumped the epoch.
-  [[nodiscard]] Status write_rmw_multi(const api::WritePlan& plan,
-                                       std::span<const std::uint8_t> data,
-                                       std::uint64_t instance,
-                                       WriteReceipt* receipt);
-  /// Reconstruct-write re-encoding multiple surviving parities (decoding
-  /// any second erased unit first); caller holds the locks.
-  [[nodiscard]] Status write_reconstruct_multi(
+  /// Read-modify-write: gathers the old data and every surviving parity,
+  /// computes each new parity in one fused Codec::update_into pass, and
+  /// commits data then parities.  Caller holds write_locked's locks.
+  [[nodiscard]] Status write_rmw(const api::WritePlan& plan,
+                                 std::span<const std::uint8_t> data,
+                                 std::uint64_t instance,
+                                 WriteReceipt* receipt);
+  /// Reconstruct-write: gathers the peers and the surviving parities,
+  /// decodes any second erased data unit, re-encodes every parity from
+  /// the new data set and commits the surviving ones.  Caller holds the
+  /// locks.
+  [[nodiscard]] Status write_reconstruct(
       const api::WritePlan& plan, std::span<const Physical> peers,
       std::span<const std::uint32_t> peer_index,
       std::span<const std::uint8_t> data, std::uint64_t instance,
@@ -457,21 +493,30 @@ class StripeStore {
                                   std::span<const std::uint8_t> data,
                                   std::uint64_t instance,
                                   WriteReceipt* receipt);
-  /// One rebuild step, bytes first (all iterations), then array state.
-  [[nodiscard]] Status apply_step_bytes(const api::RebuildStep& step);
-  /// Streamed-step staging: survivor fan-in (one kRebuild-tagged batch)
-  /// plus the XOR folds, leaving the rebuilt units in `slab` (resized as
-  /// needed; must stay alive through the commit) and the target-write
-  /// requests in `writes`.  Caller holds the state lock (shared or
-  /// exclusive) and, when shared, the step's stripe shard locks.
-  [[nodiscard]] Status stage_step_streamed(const api::RebuildStep& step,
-                                           std::vector<std::uint8_t>& slab,
-                                           std::vector<IoRequest>& writes);
-  /// Streamed-step commit: issues the staged target writes and advances
-  /// the array's rebuild state.  Caller holds the exclusive state lock
-  /// and has validated the step (or never released the lock).
-  [[nodiscard]] Status commit_step_streamed(const api::RebuildStep& step,
-                                            std::span<IoRequest> writes);
+  /// Rebuild staging: gathers every survivor of every step (all
+  /// iterations) in one kRebuild-tagged transaction and decodes each
+  /// target into the transaction's scratch, which must stay alive
+  /// through commit_steps.  Caller holds the state lock (shared or
+  /// exclusive) and, when shared, the steps' stripe shard locks.
+  [[nodiscard]] Status stage_steps(Txn& txn,
+                                   std::span<const api::RebuildStep> steps);
+  /// Rebuild commit: writes the staged targets and their CRC words in
+  /// one batch -- not journaled and not rolled back: a target is not a
+  /// content unit until its step is applied, and rebuild re-runs --
+  /// then advances the array's rebuild state.  Caller holds the
+  /// exclusive state lock and has validated the steps (or never
+  /// released the lock).
+  [[nodiscard]] Status commit_steps(Txn& txn,
+                                    std::span<const api::RebuildStep> steps);
+  /// stage_steps + commit_steps with one heal-and-restage round on
+  /// detected rot; caller holds the exclusive state lock.
+  [[nodiscard]] Status apply_steps_locked(
+      std::span<const api::RebuildStep> steps);
+  /// Heals every stripe instance whose staged survivors failed
+  /// verification in `txn`; caller holds the exclusive state lock.
+  /// Returns the first heal failure.
+  [[nodiscard]] Status heal_staged(const Txn& txn,
+                                   std::span<const api::RebuildStep> steps);
   /// checksum_disk's body; caller holds the exclusive state lock.
   [[nodiscard]] Result<std::uint64_t> checksum_disk_locked(DiskId disk) const;
 
@@ -488,29 +533,6 @@ class StripeStore {
   /// checksum is 0 (unverified -- never written through this layer).
   [[nodiscard]] bool verify_unit_crc(Physical p,
                                      std::span<const std::uint8_t> bytes);
-  /// Writes the unit's CACHED checksum to its media slot (view memcpy
-  /// or backend write) -- the compensation paths' restore primitive.
-  [[nodiscard]] Status crc_persist(Physical p);
-  /// Computes, caches, and persists a fresh checksum over `bytes`.
-  /// No-op when the layer is off.
-  [[nodiscard]] Status set_fresh_crc(Physical p,
-                                     std::span<const std::uint8_t> bytes);
-  /// Appends one checksum-region write per unit-write in
-  /// requests[0..count) (staging the 4 bytes in `staging`, which must
-  /// outlive the batch) and returns the new total count.  The checksums
-  /// ride in the SAME batch -- and the same journal record -- as the
-  /// unit writes, so replay restores units and checksums together.
-  [[nodiscard]] std::uint32_t stage_crc_writes(
-      std::span<IoRequest> requests, std::uint32_t count,
-      std::span<std::array<std::uint8_t, 4>> staging);
-  /// Adopts the staged checksums into the cache after their batch
-  /// landed (units[i] is the i'th unit write, staging[i] its checksum).
-  void commit_staged_crcs(std::span<const IoRequest> units,
-                          std::span<const std::array<std::uint8_t, 4>> staging);
-  /// execute_batch through the backend's write-ahead journal when it
-  /// has one: the record is durable before the in-place writes start
-  /// and retired after they finish, closing the crash-mid-RMW hole.
-  [[nodiscard]] Status execute_batch_journaled(std::span<IoRequest> batch);
   /// Verifies every present unit of one stripe instance and
   /// reconstructs + rewrites the mismatching ones through the codec
   /// (mismatch == erasure; healable while lost + bad <= m).  Unverified
@@ -521,9 +543,6 @@ class StripeStore {
   [[nodiscard]] Status heal_instance_locked(std::uint32_t stripe,
                                             std::uint32_t iteration,
                                             ScrubReport* report);
-  /// apply_step_bytes with one heal-and-retry round on detected rot;
-  /// caller holds the exclusive state lock.
-  [[nodiscard]] Status apply_step_healing(const api::RebuildStep& step);
   /// Zeroes a discarded disk's checksum cache and media region
   /// ("unverified"); caller holds the exclusive state lock.
   [[nodiscard]] Status reset_disk_crcs(DiskId disk);
@@ -534,7 +553,7 @@ class StripeStore {
   /// is hot (or already dirty): pins the new bytes, accumulates the
   /// codec delta per surviving parity, and touches NO media except a
   /// possible pre-image read.  Sets *handled=false (and returns OK)
-  /// when the write should fall through to the immediate RMW paths
+  /// when the write should fall through to the immediate RMW path
   /// (cold instance, table full).  Caller holds write_locked's locks;
   /// plan must be a zero-erasure kReadModifyWrite on a non-torn
   /// instance.  Folds inline when the entry hits max_dirty_units.
@@ -543,15 +562,14 @@ class StripeStore {
                                   std::span<const std::uint8_t> data,
                                   std::uint64_t instance,
                                   WriteReceipt* receipt, bool* handled);
-  /// Folds one dirty instance to media: one journaled batch writing
+  /// Folds one dirty instance to media: one committed batch writing
   /// every pinned data unit plus each parity's old bytes XOR its
   /// accumulated delta (linearity makes that byte-identical to per-op
-  /// RMW).  Partial failure compensates back to the pre-fold image
-  /// (entry kept -- the deltas stay valid); a failed compensation
-  /// marks the instance torn.  kChecksumMismatch when a pre-image
-  /// fails verification -- callers heal and retry.  Caller holds the
-  /// state lock (shared, with the instance's shard lock exclusive) or
-  /// the exclusive state lock.
+  /// RMW).  A failed commit rolls back to the pre-fold image (entry
+  /// kept -- the deltas stay valid) or marks the instance torn.
+  /// kChecksumMismatch when a pre-image fails verification -- callers
+  /// heal and retry.  Caller holds the state lock (shared, with the
+  /// instance's shard lock exclusive) or the exclusive state lock.
   [[nodiscard]] Status fold_instance_locked(std::uint64_t instance);
   /// Torn-instance fold: full-stripe re-encode from media data with
   /// the pinned dirty bytes overlaid (the dirty-table analogue of
@@ -570,8 +588,7 @@ class StripeStore {
   std::unique_ptr<DiskBackend> backend_;
   /// Cached zero-copy views, one per disk, covering the FULL media
   /// (data region plus, under integrity, the checksum region); empty
-  /// when the backend does not expose them (then every access goes
-  /// through read/write).
+  /// when the backend does not expose them.  Only gather() reads them.
   std::vector<std::span<std::uint8_t>> views_;
   /// Whether the per-unit checksum layer is active (array integrity).
   bool integrity_ = false;
@@ -594,9 +611,9 @@ class StripeStore {
     /// Stripe-instance rw-locks: writers exclusive, readers/staging
     /// shared (see the file comment's concurrency story).
     std::vector<std::shared_mutex> shards;
-    /// Bumped by every byte-mutating operation -- write, fail, replace,
-    /// AND every rebuild commit (commit_step_streamed / the view-path
-    /// apply) -- so one rebuilder's committed step invalidates another
+    /// Bumped by every byte-mutating operation -- every transaction
+    /// commit, fail, replace, AND every rebuild commit (commit_steps) --
+    /// so one rebuilder's committed step invalidates another
     /// rebuilder's concurrently staged chunk instead of surfacing as a
     /// spurious hard kFailedPrecondition at its commit.  Rebuild staging
     /// snapshots the epoch under the exclusive lock and re-checks at

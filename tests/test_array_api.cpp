@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -65,6 +66,25 @@ TEST(ArrayCreate, NoFitIsUnsupported) {
                                    {.unit_budget = 10});
   ASSERT_FALSE(array.ok());
   EXPECT_EQ(array.status().code(), StatusCode::kUnsupported);
+
+  // Specs whose complete design C(v, k) overflows 64 bits: never an
+  // exception out of the Result call -- a typed no-fit, or a valid
+  // layout from another route.
+  for (const core::ArraySpec spec :
+       {core::ArraySpec{.num_disks = 1000, .stripe_size = 20},
+        core::ArraySpec{.num_disks = 500, .stripe_size = 20}}) {
+    std::optional<Result<Array>> created;
+    EXPECT_NO_THROW(created.emplace(Array::create(spec)))
+        << "v=" << spec.num_disks;
+    ASSERT_TRUE(created.has_value());
+    if (created->ok()) {
+      EXPECT_EQ((*created)->num_disks(), spec.num_disks);
+      EXPECT_GT((*created)->units_per_disk(), 0u);
+    } else {
+      EXPECT_EQ(created->status().code(), StatusCode::kUnsupported)
+          << created->status().to_string();
+    }
+  }
 }
 
 TEST(ArrayCreate, PinnedConstructionIsHonored) {

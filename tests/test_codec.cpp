@@ -9,9 +9,9 @@
 //      designs use), so the fast path, the slow path, and the abstract
 //      field can never drift apart;
 //   3. the Reed-Solomon codec round-trips EVERY 1- and 2-erasure pattern
-//      of every stripe shape, and its incremental update() is proved
-//      equal to a from-scratch re-encode (and self-inverse -- the
-//      property the store's RMW compensation depends on).
+//      of every stripe shape, and its incremental update() and fused
+//      update_into() are proved equal to a from-scratch re-encode (and
+//      self-inverse).
 
 #include "core/codec.hpp"
 
@@ -238,9 +238,22 @@ TEST(RsCodec, UpdateEqualsReEncodeAndIsSelfInverse) {
     std::vector<std::uint8_t> delta(unit);
     for (std::size_t i = 0; i < unit; ++i) delta[i] = data[target][i] ^ fresh[i];
 
+    // The fused form (the store's RMW) reads both old units directly...
+    std::vector<std::uint8_t> p_fused(unit), q_fused(unit);
+    rs.update_into(p_fused, p, 0, target, data[target], fresh);
+    rs.update_into(q_fused, q, 1, target, data[target], fresh);
+    // ...and fused again with the same pair, it restores the old parity.
+    std::vector<std::uint8_t> p_undo(unit), q_undo(unit);
+    rs.update_into(p_undo, p_fused, 0, target, data[target], fresh);
+    rs.update_into(q_undo, q_fused, 1, target, data[target], fresh);
+    EXPECT_EQ(p_undo, p) << "target " << target;
+    EXPECT_EQ(q_undo, q) << "target " << target;
+
     // Incremental fold on both parities...
     rs.update(p, 0, target, delta);
     rs.update(q, 1, target, delta);
+    EXPECT_EQ(p_fused, p) << "target " << target;
+    EXPECT_EQ(q_fused, q) << "target " << target;
 
     // ...must equal the from-scratch encode of the mutated data set.
     const auto old_unit = data[target];
@@ -254,8 +267,8 @@ TEST(RsCodec, UpdateEqualsReEncodeAndIsSelfInverse) {
     EXPECT_EQ(p, p_full) << "target " << target;
     EXPECT_EQ(q, q_full) << "target " << target;
 
-    // Re-applying the identical fold restores the previous parity -- the
-    // involution the RMW compensation path relies on.
+    // Re-applying the identical fold restores the previous parity
+    // (characteristic 2: the fold is an involution).
     rs.update(p, 0, target, delta);
     rs.update(q, 1, target, delta);
     data[target] = old_unit;
@@ -347,6 +360,19 @@ TEST(Codec, XorSingletonMatchesRawKernels) {
   codec.reconstruct(5, {survivors.data(), survivors.size()}, survivor_index,
                     erased, outs);
   EXPECT_EQ(rebuilt, data[2]);
+
+  // Fused RMW update == the scalar fold parity ^ old ^ new, which is the
+  // parity of the mutated data set.
+  const auto fresh = random_bytes(unit, rng);
+  std::vector<std::uint8_t> fused(unit);
+  codec.update_into(fused, parity, 0, 2, data[2], fresh);
+  std::vector<std::uint8_t> folded = parity;
+  detail::xor_into_scalar(folded, data[2]);
+  detail::xor_into_scalar(folded, fresh);
+  EXPECT_EQ(fused, folded);
+  spans[2] = fresh;
+  xor_parity_into(expected, {spans.data(), spans.size()});
+  EXPECT_EQ(fused, expected);
 }
 
 TEST(Codec, ZeroDataStripesReconstructConstantZeroParity) {

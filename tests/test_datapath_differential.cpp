@@ -149,42 +149,33 @@ void expect_writes_match(StripeStore& store, const api::Array& reference,
     const Status status = store.write(logical, unit, &receipt);
 
     ASSERT_EQ(receipt.kind, plan->kind) << context << " logical " << logical;
-    const bool multi = reference.num_parity_units() > 1;
+    // One codec-aware path serves every codec, so the receipt shape is
+    // the same for XOR (one parity) and RS (one or two surviving).
     switch (plan->kind) {
       case api::WritePlan::Kind::kReadModifyWrite:
         ASSERT_TRUE(status.ok()) << context;
-        if (multi) {
-          ASSERT_EQ(receipt.num_writes, 1u + plan->num_parities);
-          EXPECT_EQ(receipt.writes[0], plan->data);
-          for (std::uint32_t j = 0; j < plan->num_parities; ++j)
-            EXPECT_EQ(receipt.writes[1 + j], plan->parity_targets[j])
-                << context << " logical " << logical << " parity " << j;
-        } else {
-          // The m = 1 receipt shape is pinned byte-for-byte: the codec
-          // seam must not disturb the legacy XOR fast path.
-          ASSERT_EQ(receipt.num_writes, 2u);
-          EXPECT_EQ(receipt.writes[0], plan->data);
-          EXPECT_EQ(receipt.writes[1], plan->parity);
-        }
+        ASSERT_EQ(receipt.num_writes, 1u + plan->num_parities);
+        EXPECT_EQ(receipt.writes[0], plan->data);
+        for (std::uint32_t j = 0; j < plan->num_parities; ++j)
+          EXPECT_EQ(receipt.writes[1 + j], plan->parity_targets[j])
+              << context << " logical " << logical << " parity " << j;
         break;
       case api::WritePlan::Kind::kReconstructWrite:
         ASSERT_TRUE(status.ok()) << context;
+        // Reconstruct-writes read the peers, then the old surviving
+        // parities (for second-erasure decode and rollback).
+        ASSERT_EQ(receipt.num_reads,
+                  plan->num_peer_reads + plan->num_parities);
         for (std::uint32_t i = 0; i < plan->num_peer_reads; ++i)
           EXPECT_EQ(receipt.reads[i], peers[i])
               << context << " logical " << logical << " peer " << i;
-        if (multi) {
-          // Multi-parity reconstruct-writes also read the old surviving
-          // parities (for second-erasure decode and rollback).
-          ASSERT_EQ(receipt.num_reads,
-                    plan->num_peer_reads + plan->num_parities);
-          ASSERT_EQ(receipt.num_writes, plan->num_parities);
-          for (std::uint32_t j = 0; j < plan->num_parities; ++j)
-            EXPECT_EQ(receipt.writes[j], plan->parity_targets[j])
-                << context << " logical " << logical << " parity " << j;
-        } else {
-          ASSERT_EQ(receipt.num_reads, plan->num_peer_reads);
-          ASSERT_EQ(receipt.num_writes, 1u);
-          EXPECT_EQ(receipt.writes[0], plan->parity);
+        ASSERT_EQ(receipt.num_writes, plan->num_parities);
+        for (std::uint32_t j = 0; j < plan->num_parities; ++j) {
+          EXPECT_EQ(receipt.reads[plan->num_peer_reads + j],
+                    plan->parity_targets[j])
+              << context << " logical " << logical << " parity " << j;
+          EXPECT_EQ(receipt.writes[j], plan->parity_targets[j])
+              << context << " logical " << logical << " parity " << j;
         }
         break;
       case api::WritePlan::Kind::kUnprotectedWrite:

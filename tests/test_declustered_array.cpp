@@ -7,9 +7,8 @@
 namespace pdl::core {
 namespace {
 
-// The selection policy under test lives in the engine's planner;
-// core::build_layout is now a deprecated shim over the same registry
-// (covered by test_engine's ShimDelegatesToRegistry).
+// The selection policy under test lives in the engine's planner: the
+// best layout for a spec, or nullopt when no construction fits.
 std::optional<BuiltLayout> build_layout(const ArraySpec& spec,
                                         const BuildOptions& options = {}) {
   return engine::ConstructionPlanner::default_planner().build_best(spec,

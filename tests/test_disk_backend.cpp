@@ -318,8 +318,8 @@ class FailNthWriteBackend final : public DiskBackend {
     return inner_->discard(d, fill);
   }
   std::string_view name() const noexcept override { return "fail-nth"; }
-  // memory_view stays empty (base default): the store must use the
-  // backend read/write path, where the rollback logic lives.
+  // memory_view stays empty (base default), so the store's gather
+  // copies old bytes into staging and a failed commit can restore them.
 
  private:
   std::unique_ptr<DiskBackend> inner_;
@@ -327,80 +327,121 @@ class FailNthWriteBackend final : public DiskBackend {
   int count_ = 0;
 };
 
-// A torn read-modify-write (new parity landed, data write failed) must
-// roll the parity back: the stripe stays consistent with the OLD data,
-// and a degraded read after a subsequent disk failure serves the old
-// bytes -- not garbage.
-TEST(DiskBackendStore, TornRmwRollsBackParity) {
-  auto array = api::Array::create({.num_disks = 17, .stripe_size = 5});
-  ASSERT_TRUE(array.ok());
-  auto failer =
-      std::make_unique<FailNthWriteBackend>(make_memory_backend());
-  FailNthWriteBackend* failer_raw = failer.get();
-  auto store = StripeStore::create(std::move(array).value(),
-                                   {.unit_bytes = 64, .iterations = 1},
-                                   std::move(failer));
-  ASSERT_TRUE(store.ok()) << store.status().to_string();
+/// One single-fault RMW case: the codec, whether the CRC layer is on,
+/// and which write of the RMW's one commit batch fails.  The batch
+/// writes the data unit, then every parity, then (under integrity) one
+/// CRC word per unit, so every ordinal from 1 to (1 + m) * (integrity ?
+/// 2 : 1) is a distinct partial-landing interleaving.
+struct TornRmwCase {
+  core::CodecKind codec = core::CodecKind::kXorParity;
+  bool integrity = false;
+  int failing_write = 1;
+};
 
-  const std::uint64_t logical = 0;
-  std::vector<std::uint8_t> old_data(store->unit_bytes(), 0x11);
-  std::vector<std::uint8_t> new_data(store->unit_bytes(), 0x22);
-  WriteReceipt receipt;
-  ASSERT_TRUE(store->write(logical, old_data, &receipt).ok());
-  ASSERT_EQ(receipt.kind, api::WritePlan::Kind::kReadModifyWrite);
-  const DiskId data_disk = receipt.writes[0].disk;
+std::vector<TornRmwCase> torn_rmw_cases() {
+  std::vector<TornRmwCase> cases;
+  for (const core::CodecKind codec :
+       {core::CodecKind::kXorParity, core::CodecKind::kReedSolomonPQ})
+    for (const bool integrity : {false, true}) {
+      const int units = 1 + static_cast<int>(
+                                core::codec_for(codec).num_parity());
+      for (int n = 1; n <= units * (integrity ? 2 : 1); ++n)
+        cases.push_back({codec, integrity, n});
+    }
+  return cases;
+}
 
-  // The no-view RMW issues two backend writes: parity first, then data.
-  // Fail the second -> torn write, rollback path.
-  failer_raw->arm(2);
-  const Status torn = store->write(logical, new_data);
-  EXPECT_EQ(torn.code(), StatusCode::kIoError);
+std::string torn_rmw_name(const testing::TestParamInfo<TornRmwCase>& info) {
+  return std::string(core::codec_kind_name(info.param.codec)) +
+         (info.param.integrity ? "_crc" : "") + "_write" +
+         std::to_string(info.param.failing_write);
+}
+
+class DiskBackendStoreTornRmw : public testing::TestWithParam<TornRmwCase> {
+ protected:
+  /// A v=17 k=5 store over a FailNthWriteBackend, with `old_data`
+  /// written to `logical` (so the next write of it is an RMW).
+  void SetUp() override {
+    const TornRmwCase& c = GetParam();
+    auto array = api::Array::create({.num_disks = 17, .stripe_size = 5}, {},
+                                    {.codec = c.codec,
+                                     .integrity = c.integrity});
+    ASSERT_TRUE(array.ok()) << array.status().to_string();
+    auto failer =
+        std::make_unique<FailNthWriteBackend>(make_memory_backend());
+    failer_ = failer.get();
+    auto store = StripeStore::create(std::move(array).value(),
+                                     {.unit_bytes = 64, .iterations = 1},
+                                     std::move(failer));
+    ASSERT_TRUE(store.ok()) << store.status().to_string();
+    store_ = std::make_unique<StripeStore>(std::move(store).value());
+
+    WriteReceipt receipt;
+    ASSERT_TRUE(store_->write(kLogical, old_data_, &receipt).ok());
+    ASSERT_EQ(receipt.kind, api::WritePlan::Kind::kReadModifyWrite);
+    data_disk_ = receipt.writes[0].disk;
+  }
+
+  /// Fails the data disk and checks that a degraded read of the unit --
+  /// a decode through the stripe's parity -- serves `expected`.
+  void expect_degraded(const std::vector<std::uint8_t>& expected) {
+    ASSERT_TRUE(store_->fail_disk(data_disk_).ok());
+    std::vector<std::uint8_t> got(store_->unit_bytes());
+    ReadReceipt degraded;
+    ASSERT_TRUE(store_->read(kLogical, got, &degraded).ok());
+    EXPECT_EQ(degraded.kind, api::ReadPlan::Kind::kDegraded);
+    EXPECT_EQ(got, expected);
+  }
+
+  static constexpr std::uint64_t kLogical = 3;
+  std::vector<std::uint8_t> old_data_ = std::vector<std::uint8_t>(64, 0x33);
+  std::vector<std::uint8_t> new_data_ = std::vector<std::uint8_t>(64, 0x44);
+  FailNthWriteBackend* failer_ = nullptr;  ///< owned by the store
+  std::unique_ptr<StripeStore> store_;
+  DiskId data_disk_ = 0;
+};
+
+// A torn read-modify-write (any one write of the commit batch failed)
+// must roll every landed write back: the stripe stays consistent with
+// the OLD data, and a degraded read after a subsequent disk failure
+// serves the old bytes -- not garbage.
+TEST_P(DiskBackendStoreTornRmw, TornRmwRollsBackParity) {
+  failer_->arm(GetParam().failing_write);
+  const Status torn = store_->write(kLogical, new_data_);
+  EXPECT_EQ(torn.code(), StatusCode::kIoError) << torn.to_string();
+  EXPECT_EQ(store_->torn_parity_instances(), 0u);
 
   // The unit still reads back as the old bytes...
-  std::vector<std::uint8_t> got(store->unit_bytes());
-  ASSERT_TRUE(store->read(logical, got).ok());
-  EXPECT_EQ(got, old_data);
+  std::vector<std::uint8_t> got(store_->unit_bytes());
+  ASSERT_TRUE(store_->read(kLogical, got).ok());
+  EXPECT_EQ(got, old_data_);
 
-  // ...and -- the actual rollback guarantee -- parity agrees with them:
-  // losing the data disk reconstructs the OLD bytes from survivors.
-  ASSERT_TRUE(store->fail_disk(data_disk).ok());
-  ReadReceipt degraded;
-  ASSERT_TRUE(store->read(logical, got, &degraded).ok());
-  EXPECT_EQ(degraded.kind, api::ReadPlan::Kind::kDegraded);
-  EXPECT_EQ(got, old_data);
+  // ...every parity (and, under integrity, every checksum) agrees with
+  // them...
+  const auto inconsistent = store_->verify_stripes();
+  ASSERT_TRUE(inconsistent.ok());
+  EXPECT_EQ(*inconsistent, 0u);
+
+  // ...and -- the actual rollback guarantee -- losing the data disk
+  // reconstructs the OLD bytes from survivors.
+  expect_degraded(old_data_);
 }
 
 // After the rollback, retrying the same write must succeed and leave
 // parity consistent with the NEW bytes.
-TEST(DiskBackendStore, RetryAfterTornRmwIsSafe) {
-  auto array = api::Array::create({.num_disks = 17, .stripe_size = 5});
-  ASSERT_TRUE(array.ok());
-  auto failer =
-      std::make_unique<FailNthWriteBackend>(make_memory_backend());
-  FailNthWriteBackend* failer_raw = failer.get();
-  auto store = StripeStore::create(std::move(array).value(),
-                                   {.unit_bytes = 64, .iterations = 1},
-                                   std::move(failer));
-  ASSERT_TRUE(store.ok());
+TEST_P(DiskBackendStoreTornRmw, RetryAfterTornRmwIsSafe) {
+  failer_->arm(GetParam().failing_write);
+  ASSERT_EQ(store_->write(kLogical, new_data_).code(), StatusCode::kIoError);
+  ASSERT_TRUE(store_->write(kLogical, new_data_).ok());  // the documented retry
 
-  const std::uint64_t logical = 3;
-  std::vector<std::uint8_t> old_data(store->unit_bytes(), 0x33);
-  std::vector<std::uint8_t> new_data(store->unit_bytes(), 0x44);
-  WriteReceipt receipt;
-  ASSERT_TRUE(store->write(logical, old_data, &receipt).ok());
-  const DiskId data_disk = receipt.writes[0].disk;
-
-  failer_raw->arm(2);
-  ASSERT_EQ(store->write(logical, new_data).code(), StatusCode::kIoError);
-  ASSERT_TRUE(store->write(logical, new_data).ok());  // the documented retry
-
-  ASSERT_TRUE(store->fail_disk(data_disk).ok());
-  std::vector<std::uint8_t> got(store->unit_bytes());
-  ReadReceipt degraded;
-  ASSERT_TRUE(store->read(logical, got, &degraded).ok());
-  EXPECT_EQ(degraded.kind, api::ReadPlan::Kind::kDegraded);
-  EXPECT_EQ(got, new_data);
+  const auto inconsistent = store_->verify_stripes();
+  ASSERT_TRUE(inconsistent.ok());
+  EXPECT_EQ(*inconsistent, 0u);
+  expect_degraded(new_data_);
 }
+
+INSTANTIATE_TEST_SUITE_P(EveryBatchWrite, DiskBackendStoreTornRmw,
+                         testing::ValuesIn(torn_rmw_cases()), torn_rmw_name);
 
 TEST(FaultInjectionBackend, DecoratorHidesMemoryViews) {
   // If the decorator leaked the inner backend's views, the store would

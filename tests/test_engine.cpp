@@ -66,6 +66,19 @@ TEST(ConstructionPlanner, RankingIsSortedAndAdmissible) {
     EXPECT_EQ(plan.spec.num_disks, 33u);
     EXPECT_EQ(plan.table_entries(), 33u * plan.units_per_disk);
   }
+
+  // C(v, k) saturates 64 bits at these specs: no route may be admitted
+  // with a wrapped (zero) size, and building must not throw.
+  const BuildOptions defaults;
+  for (const ArraySpec spec :
+       {ArraySpec{.num_disks = 1000, .stripe_size = 20},
+        ArraySpec{.num_disks = 500, .stripe_size = 20}}) {
+    for (const auto& plan : planner().rank_plans(spec, defaults))
+      EXPECT_GT(plan.units_per_disk, 0u)
+          << "v=" << spec.num_disks << " " << plan.description;
+    EXPECT_NO_THROW((void)planner().build_best(spec, defaults))
+        << "v=" << spec.num_disks;
+  }
 }
 
 TEST(ConstructionPlanner, PolicyFiltersApply) {
@@ -131,29 +144,6 @@ TEST(ConstructionPlanner, BuildBestMatchesTopRankedPlan) {
       }
     }
   }
-}
-
-TEST(ConstructionPlanner, ShimDelegatesToRegistry) {
-  // core::build_layout (kept as a deprecated shim for one release) must
-  // agree with the planner it wraps.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  for (const std::uint32_t v : {9u, 17u, 25u, 40u}) {
-    const ArraySpec spec{.num_disks = v, .stripe_size = 4};
-    const BuildOptions options{.unit_budget = 100'000};
-    const auto via_shim = core::build_layout(spec, options);
-    const auto via_planner = planner().build_best(spec, options);
-    ASSERT_EQ(via_shim.has_value(), via_planner.has_value()) << "v=" << v;
-    if (via_shim) {
-      EXPECT_EQ(via_shim->construction, via_planner->construction);
-      EXPECT_EQ(via_shim->metrics.units_per_disk,
-                via_planner->metrics.units_per_disk);
-    }
-  }
-  // The shim keeps its documented throwing contract for invalid specs.
-  EXPECT_THROW((void)core::build_layout({.num_disks = 4, .stripe_size = 5}),
-               std::invalid_argument);
-#pragma GCC diagnostic pop
 }
 
 // The engine's core contract: plan() is an exact prediction of build().

@@ -95,21 +95,6 @@ TEST(LayoutCache, SparedSharesTheBaseDerivation) {
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
-TEST(LayoutCache, DeprecatedShimsPreserveOldContract) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  LayoutCache cache;
-  EXPECT_EQ(cache.get_or_null({.num_disks = 100, .stripe_size = 5},
-                              {.unit_budget = 10}),
-            nullptr);
-  EXPECT_NE(cache.get_or_null({.num_disks = 16, .stripe_size = 4}), nullptr);
-  EXPECT_THROW((void)cache.get_or_null({.num_disks = 4, .stripe_size = 5}),
-               std::invalid_argument);
-  EXPECT_NE(cache.get_spared_or_null({.num_disks = 17, .stripe_size = 5}),
-            nullptr);
-#pragma GCC diagnostic pop
-}
-
 TEST(Engine, GlobalFacadeBuildsAndCaches) {
   auto& engine = Engine::global();
   const ArraySpec spec{.num_disks = 13, .stripe_size = 4};

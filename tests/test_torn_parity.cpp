@@ -64,13 +64,13 @@ std::uint64_t writes_per_unit(const StripeStore& store) {
   return 1 + store.array().num_parity_units();
 }
 
-/// Ordinal script that makes the FIRST write after `fill` double-fault:
-/// under XOR the batch is [parity, data] and the compensation rewrites
-/// parity, so failing ordinals {base+2, base+3} means "parity landed,
-/// data failed, parity restore failed".  Under RS the batch is
-/// [data, P, Q] and the first compensation rewrites the data unit, so
-/// {base+3, base+4} means "data and P landed, Q failed, data rollback
-/// failed".
+/// Ordinal script that makes the FIRST write after `fill` double-fault.
+/// Every RMW commits one batch -- data, then each parity -- and a failed
+/// batch rolls back the landed units in the same order.  Under XOR the
+/// batch is [data, P], so failing ordinals {base+2, base+3} means "data
+/// landed, P failed, data rollback failed".  Under RS the batch is
+/// [data, P, Q], so {base+3, base+4} means "data and P landed, Q failed,
+/// data rollback failed".
 std::vector<std::uint64_t> double_fault_script(core::CodecKind codec,
                                                std::uint64_t fill_units,
                                                std::uint64_t per_unit) {
@@ -223,7 +223,7 @@ TEST(TornParity, SingleFaultCompensationStillRestoresConsistency) {
   const std::uint64_t per_unit = writes_per_unit(*probe.store);
 
   // Fail only the Q write of the first post-fill RMW ([data, P, Q]):
-  // both compensations (data rollback, P re-fold) succeed.
+  // both rollback writes (data and P, from their old bytes) succeed.
   auto f = TornFixture::create(core::CodecKind::kReedSolomonPQ,
                                {n * per_unit + 3});
   ASSERT_TRUE(f.store);
