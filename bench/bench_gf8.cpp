@@ -1,8 +1,9 @@
-// GF(2^8) kernel throughput: the bit-sliced constant-multiply kernels
-// behind the Reed-Solomon P+Q codec (core::gf8::mul_xor_into /
-// mul_in_place, the Q-parity inner loops) versus the scalar table-lookup
-// references they replaced (core::gf8::detail::*_scalar).  Two operations
-// are measured per unit size:
+// GF(2^8) kernel throughput: the constant-multiply kernels behind the
+// Reed-Solomon P+Q codec (core::gf8::mul_xor_into / mul_in_place, the
+// Q-parity inner loops, on the kernel chosen at run time for this CPU)
+// versus the portable bit-sliced kernels (core::gf8::detail::*_portable)
+// and the scalar table-lookup references (core::gf8::detail::*_scalar).
+// Two operations are measured per unit size:
 //
 //   * mul-xor  -- dst ^= c * src (the Q-parity delta fold of a
 //                 read-modify-write, and each survivor's contribution to
@@ -13,6 +14,8 @@
 //
 // Every measured kernel's output is verified against the scalar result
 // before timing counts, so the speedup comes with a correctness proof.
+// The *_vector_mbps fields time the run-time-chosen kernel (AVX2 where
+// the CPU has it); *_speedup is vector over scalar.
 //
 //   $ ./bench_gf8 [--smoke]
 
@@ -71,32 +74,44 @@ int main(int argc, char** argv) {
   // for the kernels, representative of decode coefficients).
   const std::uint8_t c = core::gf8::exp_alpha(7);
 
+  std::printf("%8s  %-7s %10s %10s %10s  (MB/s)\n", "", "", "scalar",
+              "portable", "vector");
   for (const std::size_t size : {512u, 4096u, 65536u}) {
     // --------------------------------------------------------- mul-xor
     auto dst_vec = random_bytes(size, rng);
+    auto dst_portable = dst_vec;
     auto dst_scalar = dst_vec;
     const auto src = random_bytes(size, rng);
 
     core::gf8::mul_xor_into(dst_vec, src, c);
+    core::gf8::detail::mul_xor_into_portable(dst_portable, src, c);
     core::gf8::detail::mul_xor_into_scalar(dst_scalar, src, c);
-    const bool mulxor_ok = dst_vec == dst_scalar;
+    const bool mulxor_ok = dst_vec == dst_scalar && dst_portable == dst_scalar;
 
     const double mulxor_scalar = measure(seconds, size, [&] {
       core::gf8::detail::mul_xor_into_scalar(dst_scalar, src, c);
+    });
+    const double mulxor_portable = measure(seconds, size, [&] {
+      core::gf8::detail::mul_xor_into_portable(dst_portable, src, c);
     });
     const double mulxor_vector = measure(
         seconds, size, [&] { core::gf8::mul_xor_into(dst_vec, src, c); });
 
     // ---------------------------------------------------- mul in place
-    // The timed loops above ran different iteration counts on the two
+    // The timed loops above ran different iteration counts on the three
     // buffers; re-sync so this verification compares equal inputs.
+    dst_portable = dst_vec;
     dst_scalar = dst_vec;
     core::gf8::mul_in_place(dst_vec, c);
+    core::gf8::detail::mul_in_place_portable(dst_portable, c);
     core::gf8::detail::mul_in_place_scalar(dst_scalar, c);
-    const bool mul_ok = dst_vec == dst_scalar;
+    const bool mul_ok = dst_vec == dst_scalar && dst_portable == dst_scalar;
 
     const double mul_scalar = measure(seconds, size, [&] {
       core::gf8::detail::mul_in_place_scalar(dst_scalar, c);
+    });
+    const double mul_portable = measure(seconds, size, [&] {
+      core::gf8::detail::mul_in_place_portable(dst_portable, c);
     });
     const double mul_vector =
         measure(seconds, size, [&] { core::gf8::mul_in_place(dst_vec, c); });
@@ -104,20 +119,21 @@ int main(int argc, char** argv) {
     const bool verified = mulxor_ok && mul_ok;
     if (!verified) all_verified = false;
 
-    std::printf(
-        "%6zu B  mul-xor %8.0f -> %8.0f MB/s (%4.1fx) | mul %8.0f -> "
-        "%8.0f MB/s (%4.1fx) | %s\n",
-        size, mulxor_scalar, mulxor_vector, mulxor_vector / mulxor_scalar,
-        mul_scalar, mul_vector, mul_vector / mul_scalar,
-        bench::okbad(verified));
+    std::printf("%6zu B  mul-xor %10.0f %10.0f %10.0f  (%4.1fx) | %s\n",
+                size, mulxor_scalar, mulxor_portable, mulxor_vector,
+                mulxor_vector / mulxor_scalar, bench::okbad(verified));
+    std::printf("%8s  mul     %10.0f %10.0f %10.0f  (%4.1fx)\n", "",
+                mul_scalar, mul_portable, mul_vector, mul_vector / mul_scalar);
 
-    bench::json_result("gf8_kernels", /*schema_version=*/1)
+    bench::json_result("gf8_kernels", /*schema_version=*/2)
         .field("unit_bytes", static_cast<std::uint64_t>(size))
         .field("coefficient", static_cast<std::uint64_t>(c))
         .field("mulxor_scalar_mbps", mulxor_scalar)
+        .field("mulxor_portable_mbps", mulxor_portable)
         .field("mulxor_vector_mbps", mulxor_vector)
         .field("mulxor_speedup", mulxor_vector / mulxor_scalar)
         .field("mul_scalar_mbps", mul_scalar)
+        .field("mul_portable_mbps", mul_portable)
         .field("mul_vector_mbps", mul_vector)
         .field("mul_speedup", mul_vector / mul_scalar)
         .field("verified", verified)

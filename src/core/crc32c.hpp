@@ -9,11 +9,16 @@
 /// the block sizes disks serve, and because commodity CPUs accelerate it
 /// (SSE4.2 crc32 on x86, CRC extensions on ARM).
 ///
-/// Implementation: slicing-by-8 table lookup (8 bytes per iteration,
-/// tables generated at first use), with a hardware fast path compiled in
-/// when the build targets SSE4.2.  Both paths produce identical values;
-/// the checksums are a persisted format, so the function is pinned by
-/// known-answer tests (the RFC 3720 test vectors).
+/// Implementation: the kernel is chosen once, at first call, from what
+/// the running CPU supports; the build stays baseline x86-64.  With
+/// SSE4.2 it runs three interleaved crc32q streams over 768-byte blocks
+/// and merges them through a table that advances a CRC over 256 zero
+/// bytes.  Otherwise (older x86 CPUs, aarch64) it runs the portable
+/// kernel, slicing-by-8 table lookup (8 bytes per iteration, tables
+/// generated at first use), which detail::crc32c_portable exposes.  Both
+/// kernels produce identical values; the checksums are a persisted
+/// format, so test_crc32c pins both to the RFC 3720 test vectors and to
+/// each other.
 
 #include <cstdint>
 #include <span>
@@ -35,5 +40,15 @@ namespace pdl::core {
   const std::uint32_t crc = crc32c(data);
   return crc == 0 ? 1u : crc;
 }
+
+namespace detail {
+
+/// crc32c on the portable slicing-by-8 kernel, whatever the CPU: the
+/// reference the run-time-chosen kernel is tested against.  Same
+/// contract as pdl::core::crc32c.
+[[nodiscard]] std::uint32_t crc32c_portable(
+    std::span<const std::uint8_t> data, std::uint32_t seed = 0) noexcept;
+
+}  // namespace detail
 
 }  // namespace pdl::core

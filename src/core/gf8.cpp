@@ -3,6 +3,10 @@
 #include <cstring>
 #include <stdexcept>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "algebra/gf.hpp"
 #include "algebra/polynomial.hpp"
 
@@ -34,6 +38,11 @@ struct Tables {
   std::uint8_t exp[510];  // doubled so exp[log a + log b] needs no mod
   std::uint8_t log[256];
   std::uint8_t inverse[256];  // inverse[0] unused
+  /// nibble[c][0][x] = c * x and nibble[c][1][x] = c * (x << 4) for
+  /// x < 16, each row repeated in both 16-byte halves: one vpshufb per
+  /// half-byte multiplies 32 bytes by c, since c * b is the XOR of the
+  /// products of b's two nibbles.
+  alignas(32) std::uint8_t nibble[256][2][32];
 
   Tables() {
     const algebra::GaloisField field(
@@ -51,6 +60,16 @@ struct Tables {
     for (std::uint32_t a = 1; a < 256; ++a)
       inverse[a] = static_cast<std::uint8_t>(
           *field.inverse(static_cast<algebra::Elem>(a)));
+    const auto product = [this](std::uint32_t a, std::uint32_t b) {
+      return a == 0 || b == 0
+                 ? std::uint8_t{0}
+                 : exp[static_cast<std::uint32_t>(log[a]) + log[b]];
+    };
+    for (std::uint32_t c = 0; c < 256; ++c)
+      for (std::uint32_t x = 0; x < 32; ++x) {
+        nibble[c][0][x] = product(c, x & 0x0f);
+        nibble[c][1][x] = product(c, (x & 0x0f) << 4);
+      }
   }
 };
 
@@ -84,30 +103,12 @@ inline void mul_xor_block(std::uint64_t* acc, const std::uint64_t* src,
   }
 }
 
-}  // namespace
-
-std::uint8_t mul(std::uint8_t a, std::uint8_t b) noexcept {
-  if (a == 0 || b == 0) return 0;
-  const Tables& t = tables();
-  return t.exp[static_cast<std::uint32_t>(t.log[a]) + t.log[b]];
-}
-
-std::uint8_t exp_alpha(std::uint32_t i) noexcept {
-  return tables().exp[i % 255];
-}
-
-std::uint8_t inv(std::uint8_t a) {
-  if (a == 0) throw std::invalid_argument("gf8::inv: inverse of zero");
-  return tables().inverse[a];
-}
-
-void mul_xor_into(std::span<std::uint8_t> dst,
-                  std::span<const std::uint8_t> src, std::uint8_t c) {
-  check_same_size(dst.size(), src.size(), "gf8::mul_xor_into");
-  if (c == 0) return;
-  std::uint8_t* d = dst.data();
-  const std::uint8_t* s = src.data();
-  const std::size_t n = dst.size();
+/// The portable kernels: bit-sliced passes over 64-byte blocks.  Each
+/// tail is staged through one zero-padded block so the bit-sliced pass
+/// stays the only multiply implementation here (padding bytes are zero
+/// and multiply to zero).
+void mul_xor_into_bitsliced(std::uint8_t* d, const std::uint8_t* s,
+                            std::size_t n, std::uint8_t c) noexcept {
   std::size_t i = 0;
   for (; i + kBlock <= n; i += kBlock) {
     std::uint64_t acc[kLanes], from[kLanes];
@@ -117,9 +118,6 @@ void mul_xor_into(std::span<std::uint8_t> dst,
     std::memcpy(d + i, acc, kBlock);
   }
   if (i < n) {
-    // Tail: stage the remainder through one zero-padded block so the
-    // bit-sliced pass stays the only multiply implementation on the
-    // vector path (padding bytes are zero and multiply to zero).
     std::uint64_t acc[kLanes] = {}, from[kLanes] = {};
     std::memcpy(acc, d + i, n - i);
     std::memcpy(from, s + i, n - i);
@@ -128,9 +126,8 @@ void mul_xor_into(std::span<std::uint8_t> dst,
   }
 }
 
-void mul_in_place(std::span<std::uint8_t> dst, std::uint8_t c) {
-  std::uint8_t* d = dst.data();
-  const std::size_t n = dst.size();
+void mul_in_place_bitsliced(std::uint8_t* d, std::size_t n,
+                            std::uint8_t c) noexcept {
   if (c == 0) {
     std::memset(d, 0, n);
     return;
@@ -168,6 +165,98 @@ void mul_in_place(std::span<std::uint8_t> dst, std::uint8_t c) {
   }
 }
 
+#if defined(__x86_64__)
+
+/// True when the running CPU supports AVX2, decided at first call.
+bool has_avx2() noexcept {
+  static const bool avx2 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return avx2;
+}
+
+/// c * v for 32 packed bytes: a vpshufb lookup per nibble into c's
+/// two table rows, XORed.
+__attribute__((target("avx2"))) inline __m256i mul_avx2(
+    __m256i v, __m256i lo, __m256i hi) noexcept {
+  const __m256i mask = _mm256_set1_epi8(0x0f);
+  return _mm256_xor_si256(
+      _mm256_shuffle_epi8(lo, _mm256_and_si256(v, mask)),
+      _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi64(v, 4), mask)));
+}
+
+/// The AVX2 kernels: 32 bytes per step, the tail one byte at a time
+/// through the same table rows.
+__attribute__((target("avx2"))) void mul_xor_into_avx2(
+    std::uint8_t* d, const std::uint8_t* s, std::size_t n,
+    std::uint8_t c) noexcept {
+  const auto& row = tables().nibble[c];
+  const __m256i lo = _mm256_load_si256(reinterpret_cast<const __m256i*>(row[0]));
+  const __m256i hi = _mm256_load_si256(reinterpret_cast<const __m256i*>(row[1]));
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m256i from =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + i));
+    const __m256i acc =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i),
+                        _mm256_xor_si256(acc, mul_avx2(from, lo, hi)));
+  }
+  for (; i < n; ++i) d[i] ^= row[0][s[i] & 0x0f] ^ row[1][s[i] >> 4];
+}
+
+__attribute__((target("avx2"))) void mul_in_place_avx2(
+    std::uint8_t* d, std::size_t n, std::uint8_t c) noexcept {
+  const auto& row = tables().nibble[c];
+  const __m256i lo = _mm256_load_si256(reinterpret_cast<const __m256i*>(row[0]));
+  const __m256i hi = _mm256_load_si256(reinterpret_cast<const __m256i*>(row[1]));
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i), mul_avx2(v, lo, hi));
+  }
+  for (; i < n; ++i) d[i] = row[0][d[i] & 0x0f] ^ row[1][d[i] >> 4];
+}
+
+#endif  // __x86_64__
+
+}  // namespace
+
+std::uint8_t mul(std::uint8_t a, std::uint8_t b) noexcept {
+  if (a == 0 || b == 0) return 0;
+  const Tables& t = tables();
+  return t.exp[static_cast<std::uint32_t>(t.log[a]) + t.log[b]];
+}
+
+std::uint8_t exp_alpha(std::uint32_t i) noexcept {
+  return tables().exp[i % 255];
+}
+
+std::uint8_t inv(std::uint8_t a) {
+  if (a == 0) throw std::invalid_argument("gf8::inv: inverse of zero");
+  return tables().inverse[a];
+}
+
+void mul_xor_into(std::span<std::uint8_t> dst,
+                  std::span<const std::uint8_t> src, std::uint8_t c) {
+  check_same_size(dst.size(), src.size(), "gf8::mul_xor_into");
+  if (c == 0) return;
+#if defined(__x86_64__)
+  if (has_avx2())
+    return mul_xor_into_avx2(dst.data(), src.data(), dst.size(), c);
+#endif
+  mul_xor_into_bitsliced(dst.data(), src.data(), dst.size(), c);
+}
+
+void mul_in_place(std::span<std::uint8_t> dst, std::uint8_t c) {
+#if defined(__x86_64__)
+  // c == 0 and c == 1 stay a memset and a no-op, with no table pass.
+  if (c > 1 && has_avx2()) return mul_in_place_avx2(dst.data(), dst.size(), c);
+#endif
+  mul_in_place_bitsliced(dst.data(), dst.size(), c);
+}
+
 namespace detail {
 
 void mul_xor_into_scalar(std::span<std::uint8_t> dst,
@@ -181,6 +270,17 @@ void mul_xor_into_scalar(std::span<std::uint8_t> dst,
 void mul_in_place_scalar(std::span<std::uint8_t> dst, std::uint8_t c) {
   std::uint8_t* d = dst.data();
   for (std::size_t i = 0; i < dst.size(); ++i) d[i] = mul(c, d[i]);
+}
+
+void mul_xor_into_portable(std::span<std::uint8_t> dst,
+                           std::span<const std::uint8_t> src,
+                           std::uint8_t c) {
+  check_same_size(dst.size(), src.size(), "gf8::mul_xor_into_portable");
+  if (c != 0) mul_xor_into_bitsliced(dst.data(), src.data(), dst.size(), c);
+}
+
+void mul_in_place_portable(std::span<std::uint8_t> dst, std::uint8_t c) {
+  mul_in_place_bitsliced(dst.data(), dst.size(), c);
 }
 
 }  // namespace detail

@@ -11,16 +11,22 @@
 /// reduces to one shift plus a conditional XOR of 0x1d, the primitive the
 /// vectorized kernels below are built from.
 ///
-/// Kernel shape mirrors core/xor_codec.hpp: 64-byte blocks processed as
-/// eight std::uint64_t lanes loaded via memcpy (alignment-free), with the
-/// GF(2) carry structure bit-sliced across the packed bytes --
+/// mul_xor_into and mul_in_place choose their kernel once, at first
+/// call, from what the running CPU supports; the build stays baseline
+/// x86-64.  With AVX2 they multiply 32 bytes per step by two vpshufb
+/// lookups, one per nibble, into 32-byte product tables built for every
+/// constant from the log/exp tables.  Otherwise (older x86 CPUs,
+/// aarch64) they run the portable kernels, whose shape mirrors
+/// core/xor_codec.hpp: 64-byte blocks processed as eight std::uint64_t
+/// lanes loaded via memcpy (alignment-free), with the GF(2) carry
+/// structure bit-sliced across the packed bytes --
 /// mul2(v) = ((v & 0x7f..) << 1) ^ (((v >> 7) & 0x0101..) * 0x1d) -- so a
 /// multiply-accumulate by an arbitrary constant is at most eight
-/// shift/XOR passes, a shape GCC/Clang auto-vectorize to SSE2/AVX2.
-/// pdl::core::gf8::detail keeps scalar log/exp-table reference
-/// implementations, and a randomized differential test (test_codec) pins
-/// the vectorized paths equal to them -- and both equal to the
-/// algebra::GaloisField reference -- on every size/alignment class.
+/// shift/XOR passes.  pdl::core::gf8::detail exposes the portable
+/// kernels and keeps scalar log/exp-table reference implementations; a
+/// randomized differential test (test_codec) pins both kernels equal to
+/// the scalar references -- and those to the algebra::GaloisField
+/// reference -- for every constant on every size/alignment class.
 
 #include <cstdint>
 #include <span>
@@ -55,8 +61,9 @@ void mul_xor_into(std::span<std::uint8_t> dst,
 void mul_in_place(std::span<std::uint8_t> dst, std::uint8_t c);
 
 /// @namespace pdl::core::gf8::detail
-/// @brief Scalar log/exp-table reference implementations the vectorized
-/// kernels are property-tested against.  Not part of the supported API.
+/// @brief The portable kernels and the scalar log/exp-table reference
+/// implementations the run-time-chosen kernels are property-tested
+/// against.  Not part of the supported API.
 namespace detail {
 
 /// Scalar byte-loop mul_xor_into (one table multiply per byte).
@@ -65,6 +72,14 @@ void mul_xor_into_scalar(std::span<std::uint8_t> dst,
 
 /// Scalar byte-loop mul_in_place.
 void mul_in_place_scalar(std::span<std::uint8_t> dst, std::uint8_t c);
+
+/// mul_xor_into on the portable bit-sliced kernel, whatever the CPU.
+/// @throws std::invalid_argument on size mismatch.
+void mul_xor_into_portable(std::span<std::uint8_t> dst,
+                           std::span<const std::uint8_t> src, std::uint8_t c);
+
+/// mul_in_place on the portable bit-sliced kernel, whatever the CPU.
+void mul_in_place_portable(std::span<std::uint8_t> dst, std::uint8_t c);
 
 }  // namespace detail
 

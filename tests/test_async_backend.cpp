@@ -303,14 +303,20 @@ TEST(AsyncBackend, RebuildTrafficCompletesUnderForegroundLoad) {
   // TSan) demand.
   constexpr std::uint64_t kHalf = 1u << 19;
   std::atomic<bool> stop{false};
+  std::atomic<bool> streaming{false};  // one read done, or the thread quit
   std::thread foreground([&] {
     std::vector<std::uint8_t> buf(4096);
     std::uint64_t offset = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      ASSERT_TRUE(backend->read(0, kHalf + offset, buf).ok());
+      const bool ok = backend->read(0, kHalf + offset, buf).ok();
+      streaming.store(true, std::memory_order_release);
+      ASSERT_TRUE(ok);
       offset = (offset + 4096) % kHalf;
     }
   });
+  // Submit only once the foreground stream is flowing: a batch that beat
+  // the thread's first read would complete with nothing to compete with.
+  while (!streaming.load(std::memory_order_acquire)) std::this_thread::yield();
 
   std::vector<std::vector<std::uint8_t>> payloads;
   std::vector<IoRequest> rebuild;

@@ -1,9 +1,10 @@
 // Differential suite for the codec seam's arithmetic:
 //
-//   1. the vectorized (bit-sliced) GF(2^8) kernels are pinned byte-exact
-//      to the scalar log/exp-table references on every size class from
-//      1 byte to 64 KiB, including unaligned base addresses and ragged
-//      tails;
+//   1. the run-time-chosen GF(2^8) kernels and the portable bit-sliced
+//      ones are pinned byte-exact to the scalar log/exp-table references
+//      for every constant on every size class from 1 byte to 8 KiB (and
+//      four constants at 64 KiB), including unaligned base addresses and
+//      ragged tails;
 //   2. both are pinned to the fully independent algebra::GaloisField
 //      table arithmetic (the same construction machinery the layout
 //      designs use), so the fast path, the slow path, and the abstract
@@ -84,51 +85,75 @@ TEST(Gf8, InverseRoundTripsAndRejectsZero) {
   EXPECT_THROW((void)gf8::inv(0), std::invalid_argument);
 }
 
-/// Sizes spanning the kernel's shape boundaries: sub-block, exactly one
-/// 64-byte block, block +/- 1, multi-block, and the 64 KiB ceiling the
-/// issue names.
-const std::size_t kSizes[] = {1,   2,   3,    7,    16,   63,   64,    65,
-                              100, 192, 1000, 4096, 8191, 65536};
+/// Sizes spanning the kernels' shape boundaries: sub-block, the AVX2
+/// kernel's 32-byte step +/- 1, exactly one 64-byte block, block +/- 1,
+/// multi-block, and a 64 KiB unit.
+const std::size_t kSizes[] = {1,   2,   3,    7,    16,   31,   32,   33,   63,
+                              64,  65,  100,  192,  1000, 4096, 8191, 65536};
+
+/// Every constant on sizes up to 8,191 -- the AVX2 kernel reads one table
+/// row per constant, so a wrong row must fail -- and 0, 1, 2 plus one
+/// random constant on the 64 KiB size.
+std::vector<std::uint8_t> constants_for(std::size_t size,
+                                        std::mt19937_64& rng) {
+  if (size > 8191) return {0, 1, 2, static_cast<std::uint8_t>(rng() | 4)};
+  std::vector<std::uint8_t> constants(256);
+  for (std::size_t c = 0; c < 256; ++c)
+    constants[c] = static_cast<std::uint8_t>(c);
+  return constants;
+}
 
 TEST(Gf8, MulXorIntoMatchesScalarOnEverySizeAndAlignment) {
+  // The run-time-chosen kernel and the portable kernel, side by side.
   std::mt19937_64 rng(0xC0DEC);
   for (const std::size_t size : kSizes) {
     for (const std::size_t offset : {0u, 1u, 3u}) {
       // Carve deliberately misaligned windows out of larger buffers.
       auto dst_backing = random_bytes(size + offset, rng);
       auto src_backing = random_bytes(size + offset, rng);
+      auto portable_backing = dst_backing;
       auto dst_ref = dst_backing;
       const std::span<std::uint8_t> dst{dst_backing.data() + offset, size};
+      const std::span<std::uint8_t> portable{
+          portable_backing.data() + offset, size};
       const std::span<std::uint8_t> ref{dst_ref.data() + offset, size};
       const std::span<const std::uint8_t> src{src_backing.data() + offset,
                                               size};
-      for (const std::uint8_t c :
-           {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{2},
-            static_cast<std::uint8_t>(rng() | 4)}) {
+      for (const std::uint8_t c : constants_for(size, rng)) {
         gf8::mul_xor_into(dst, src, c);
+        gf8::detail::mul_xor_into_portable(portable, src, c);
         gf8::detail::mul_xor_into_scalar(ref, src, c);
         ASSERT_EQ(dst_backing, dst_ref)
             << "size " << size << " offset " << offset << " c " << int(c);
+        ASSERT_EQ(portable_backing, dst_ref)
+            << "portable size " << size << " offset " << offset << " c "
+            << int(c);
       }
     }
   }
 }
 
 TEST(Gf8, MulInPlaceMatchesScalarOnEverySizeAndAlignment) {
+  // Each constant multiplies a fresh copy of the same random bytes (a
+  // chain would turn to zeros at c == 0 and test nothing after it).
   std::mt19937_64 rng(0xFACE);
   for (const std::size_t size : kSizes) {
     for (const std::size_t offset : {0u, 1u, 3u}) {
-      auto backing = random_bytes(size + offset, rng);
-      auto ref_backing = backing;
-      const std::span<std::uint8_t> dst{backing.data() + offset, size};
-      const std::span<std::uint8_t> ref{ref_backing.data() + offset, size};
-      for (const std::uint8_t c :
-           {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{2},
-            static_cast<std::uint8_t>(rng() | 4)}) {
-        gf8::mul_in_place(dst, c);
-        gf8::detail::mul_in_place_scalar(ref, c);
+      const auto original = random_bytes(size + offset, rng);
+      for (const std::uint8_t c : constants_for(size, rng)) {
+        auto backing = original;
+        auto portable_backing = original;
+        auto ref_backing = original;
+        gf8::mul_in_place({backing.data() + offset, size}, c);
+        gf8::detail::mul_in_place_portable(
+            {portable_backing.data() + offset, size}, c);
+        gf8::detail::mul_in_place_scalar({ref_backing.data() + offset, size},
+                                         c);
         ASSERT_EQ(backing, ref_backing)
             << "size " << size << " offset " << offset << " c " << int(c);
+        ASSERT_EQ(portable_backing, ref_backing)
+            << "portable size " << size << " offset " << offset << " c "
+            << int(c);
       }
     }
   }
