@@ -1,16 +1,20 @@
-// XOR codec hot-path throughput: the vectorized word-at-a-time kernels
-// (core::xor_into / xor_parity_into, 64-byte blocked, auto-vectorized)
-// versus the scalar byte-loop references they replaced
-// (core::detail::xor_into_scalar / xor_parity_into_scalar, the PR-4
-// baseline shape).  Two operations are measured per unit size:
+// XOR codec hot-path throughput: the fold kernel behind core::xor_into /
+// xor_parity_into, on the kernel chosen at run time for this CPU (AVX2
+// where the CPU has it), versus the portable fold
+// (core::detail::xor_parity_into_portable) and the scalar byte-loop
+// references (core::detail::xor_into_scalar / xor_parity_into_scalar).
+// Two operations are measured per unit size:
 //
-//   * pair XOR     -- dst ^= src (the read-modify-write delta);
+//   * pair XOR     -- dst ^= src (the read-modify-write delta); the
+//                     portable kernel runs it as the fold of {dst, src};
 //   * parity fold  -- dst = XOR of k units (degraded read / reconstruct
-//                     write / rebuild; the blocked kernel makes ONE pass
-//                     over dst, the scalar reference k+1).
+//                     write / rebuild; the fold makes ONE pass over dst,
+//                     the scalar reference k+1).
 //
 // Every measured kernel's output is verified against the scalar result
 // before timing counts, so the speedup comes with a correctness proof.
+// The *_vector_mbps fields time the run-time-chosen kernel; *_speedup is
+// vector over scalar.
 //
 //   $ ./bench_xor_codec [--smoke]
 
@@ -62,24 +66,32 @@ int main(int argc, char** argv) {
 
   bench::header("xor codec throughput",
                 "Figure 1's parity equations are the data path's inner "
-                "loop; the vectorized kernels must beat the scalar "
-                "byte loops they replaced");
+                "loop; the vectorized folds must beat the scalar byte "
+                "loops they replaced");
 
   std::mt19937_64 rng(0xBE27C);
   bool all_verified = true;
 
+  std::printf("%8s  %-10s %10s %10s %10s  (MB/s)\n", "", "", "scalar",
+              "portable", "vector");
   for (const std::size_t size : {512u, 4096u, 65536u}) {
     // --------------------------------------------------------- pair XOR
     auto dst_vec = random_bytes(size, rng);
+    auto dst_portable = dst_vec;
     auto dst_scalar = dst_vec;
     const auto src = random_bytes(size, rng);
+    const std::span<const std::uint8_t> pair[] = {dst_portable, src};
 
     core::xor_into(dst_vec, src);
+    core::detail::xor_parity_into_portable(dst_portable, pair);
     core::detail::xor_into_scalar(dst_scalar, src);
-    const bool pair_ok = dst_vec == dst_scalar;
+    const bool pair_ok = dst_vec == dst_scalar && dst_portable == dst_scalar;
 
     const double pair_scalar = measure(seconds, size, [&] {
       core::detail::xor_into_scalar(dst_scalar, src);
+    });
+    const double pair_portable = measure(seconds, size, [&] {
+      core::detail::xor_parity_into_portable(dst_portable, pair);
     });
     const double pair_vector =
         measure(seconds, size, [&] { core::xor_into(dst_vec, src); });
@@ -92,11 +104,16 @@ int main(int argc, char** argv) {
     for (const auto& unit : units) views.emplace_back(unit);
 
     core::xor_parity_into(dst_vec, views);
+    core::detail::xor_parity_into_portable(dst_portable, views);
     core::detail::xor_parity_into_scalar(dst_scalar, views);
-    const bool parity_ok = dst_vec == dst_scalar;
+    const bool parity_ok =
+        dst_vec == dst_scalar && dst_portable == dst_scalar;
 
     const double parity_scalar = measure(seconds, size * kFanIn, [&] {
       core::detail::xor_parity_into_scalar(dst_scalar, views);
+    });
+    const double parity_portable = measure(seconds, size * kFanIn, [&] {
+      core::detail::xor_parity_into_portable(dst_portable, views);
     });
     const double parity_vector = measure(seconds, size * kFanIn, [&] {
       core::xor_parity_into(dst_vec, views);
@@ -105,20 +122,22 @@ int main(int argc, char** argv) {
     const bool verified = pair_ok && parity_ok;
     if (!verified) all_verified = false;
 
-    std::printf(
-        "%6zu B  pair %8.0f -> %8.0f MB/s (%4.1fx) | parity k=%u %8.0f -> "
-        "%8.0f MB/s (%4.1fx) | %s\n",
-        size, pair_scalar, pair_vector, pair_vector / pair_scalar, kFanIn,
-        parity_scalar, parity_vector, parity_vector / parity_scalar,
-        bench::okbad(verified));
+    std::printf("%6zu B  pair       %10.0f %10.0f %10.0f  (%4.1fx) | %s\n",
+                size, pair_scalar, pair_portable, pair_vector,
+                pair_vector / pair_scalar, bench::okbad(verified));
+    std::printf("%8s  parity k=%u %10.0f %10.0f %10.0f  (%4.1fx)\n", "",
+                kFanIn, parity_scalar, parity_portable, parity_vector,
+                parity_vector / parity_scalar);
 
-    bench::json_result("xor_codec", /*schema_version=*/1)
+    bench::json_result("xor_codec", /*schema_version=*/2)
         .field("unit_bytes", static_cast<std::uint64_t>(size))
         .field("fan_in", static_cast<std::uint64_t>(kFanIn))
         .field("pair_scalar_mbps", pair_scalar)
+        .field("pair_portable_mbps", pair_portable)
         .field("pair_vector_mbps", pair_vector)
         .field("pair_speedup", pair_vector / pair_scalar)
         .field("parity_scalar_mbps", parity_scalar)
+        .field("parity_portable_mbps", parity_portable)
         .field("parity_vector_mbps", parity_vector)
         .field("parity_speedup", parity_vector / parity_scalar)
         .field("verified", verified)

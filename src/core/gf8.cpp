@@ -9,6 +9,7 @@
 
 #include "algebra/gf.hpp"
 #include "algebra/polynomial.hpp"
+#include "core/cpu_features.hpp"
 
 namespace pdl::core::gf8 {
 
@@ -167,15 +168,6 @@ void mul_in_place_bitsliced(std::uint8_t* d, std::size_t n,
 
 #if defined(__x86_64__)
 
-/// True when the running CPU supports AVX2, decided at first call.
-bool has_avx2() noexcept {
-  static const bool avx2 = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
-  return avx2;
-}
-
 /// c * v for 32 packed bytes: a vpshufb lookup per nibble into c's
 /// two table rows, XORed.
 __attribute__((target("avx2"))) inline __m256i mul_avx2(
@@ -243,7 +235,7 @@ void mul_xor_into(std::span<std::uint8_t> dst,
   check_same_size(dst.size(), src.size(), "gf8::mul_xor_into");
   if (c == 0) return;
 #if defined(__x86_64__)
-  if (has_avx2())
+  if (core::detail::has_avx2())
     return mul_xor_into_avx2(dst.data(), src.data(), dst.size(), c);
 #endif
   mul_xor_into_bitsliced(dst.data(), src.data(), dst.size(), c);
@@ -252,7 +244,8 @@ void mul_xor_into(std::span<std::uint8_t> dst,
 void mul_in_place(std::span<std::uint8_t> dst, std::uint8_t c) {
 #if defined(__x86_64__)
   // c == 0 and c == 1 stay a memset and a no-op, with no table pass.
-  if (c > 1 && has_avx2()) return mul_in_place_avx2(dst.data(), dst.size(), c);
+  if (c > 1 && core::detail::has_avx2())
+    return mul_in_place_avx2(dst.data(), dst.size(), c);
 #endif
   mul_in_place_bitsliced(dst.data(), dst.size(), c);
 }

@@ -16,10 +16,9 @@
 /// x86-64.  With AVX2 they multiply 32 bytes per step by two vpshufb
 /// lookups, one per nibble, into 32-byte product tables built for every
 /// constant from the log/exp tables.  Otherwise (older x86 CPUs,
-/// aarch64) they run the portable kernels, whose shape mirrors
-/// core/xor_codec.hpp: 64-byte blocks processed as eight std::uint64_t
-/// lanes loaded via memcpy (alignment-free), with the GF(2) carry
-/// structure bit-sliced across the packed bytes --
+/// aarch64) they run the portable kernels: 64-byte blocks processed as
+/// eight std::uint64_t lanes loaded via memcpy (alignment-free), with the
+/// GF(2) carry structure bit-sliced across the packed bytes --
 /// mul2(v) = ((v & 0x7f..) << 1) ^ (((v >> 7) & 0x0101..) * 0x1d) -- so a
 /// multiply-accumulate by an arbitrary constant is at most eight
 /// shift/XOR passes.  pdl::core::gf8::detail exposes the portable
