@@ -194,7 +194,7 @@ class RsCodec final : public Codec {
                    std::span<const std::uint8_t> data_new) const override {
     switch (parity_index) {
       case 0: {
-        // P coefficient is 1: one blocked pass over all three units.
+        // P coefficient is 1: one fold over all three units.
         const std::span<const std::uint8_t> srcs[] = {parity_old, data_old,
                                                       data_new};
         xor_parity_into(out, srcs);
