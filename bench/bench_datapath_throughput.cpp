@@ -608,7 +608,6 @@ bool run_cache_compare(const engine::LayoutPlan& plan,
                                      .ops_per_thread = config.ops_per_thread,
                                      .read_fraction = 0.3,
                                      .pattern = io::AccessPattern::kZipfian,
-                                     .zipf_theta = 0.99,
                                      .queue_depth = config.queue_depth,
                                      .seed = seed,
                                      .verify_reads = true};

@@ -40,7 +40,6 @@
 #include "bench_util.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/governor.hpp"
-#include "fleet/workload.hpp"
 #include "io/workload_driver.hpp"
 
 namespace {
@@ -100,7 +99,7 @@ struct PhaseResult {
 
 PhaseResult run_phase(fleet::Fleet& fleet, const BenchConfig& config,
                       std::uint64_t seed) {
-  fleet::WorkloadDriver driver(
+  io::WorkloadDriver driver(
       fleet, {.num_threads = config.threads,
               .ops_per_thread = config.ops_per_thread,
               .read_fraction = config.read_fraction,
@@ -153,7 +152,7 @@ bool run_policy(fleet::GovernorPolicy policy, const BenchConfig& config,
     return false;
   }
   fleet::Fleet& fleet = created.value();
-  if (!fleet::fill_canonical(fleet, 0, fleet.num_blocks(), seed).ok())
+  if (!io::fill_canonical(fleet, 0, fleet.num_blocks(), seed).ok())
     return false;
 
   if (!fleet.fail_disk(kRebuildShard, kRebuildDisk).ok() ||
@@ -243,7 +242,7 @@ bool run_fairshare(const BenchConfig& config, std::uint64_t seed) {
   auto created = make_fleet(config, fleet::GovernorPolicy::kFairShare);
   if (!created.ok()) return false;
   fleet::Fleet& fleet = created.value();
-  if (!fleet::fill_canonical(fleet, 0, fleet.num_blocks(), seed).ok())
+  if (!io::fill_canonical(fleet, 0, fleet.num_blocks(), seed).ok())
     return false;
 
   for (const std::uint32_t shard : {0u, 2u})
@@ -322,7 +321,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     fleet::Fleet& fleet = created.value();
-    if (!fleet::fill_canonical(fleet, 0, fleet.num_blocks(), seed).ok())
+    if (!io::fill_canonical(fleet, 0, fleet.num_blocks(), seed).ok())
       return 1;
     const PhaseResult healthy = run_phase(fleet, config, seed);
     const bool verified = healthy.stats.verify_failures == 0 &&

@@ -137,7 +137,7 @@ std::vector<Extent> Fleet::extents() const {
   return extents_;
 }
 
-bool Fleet::any_async() const {
+bool Fleet::async() const {
   std::shared_lock<std::shared_mutex> lock(sync_->map);
   for (const auto& store : stores_)
     if (store->backend().async()) return true;

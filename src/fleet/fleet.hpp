@@ -76,6 +76,7 @@
 #include "core/status.hpp"
 #include "fleet/governor.hpp"
 #include "io/stripe_store.hpp"
+#include "io/workload_driver.hpp"
 
 namespace pdl::fleet {
 
@@ -150,9 +151,10 @@ using BackendFactory =
     std::function<std::unique_ptr<io::DiskBackend>(std::uint32_t shard)>;
 
 /// Many arrays behind one front door: a sharded block space over N
-/// StripeStores with governed rebuild and online migration.  See the
-/// file comment for the full story.
-class Fleet {
+/// StripeStores with governed rebuild and online migration.  An
+/// io::BlockTarget, so io::WorkloadDriver and io::fill_canonical run on
+/// it directly.  See the file comment for the full story.
+class Fleet final : public io::BlockTarget {
  public:
   /// Builds a fleet over founding shards: shard i's extent covers the
   /// next capacity_units(iterations) blocks of the space.
@@ -168,11 +170,11 @@ class Fleet {
     return static_cast<std::uint32_t>(stores_.size());
   }
   /// Fleet blocks addressable through read/write.
-  [[nodiscard]] std::uint64_t num_blocks() const noexcept {
+  [[nodiscard]] std::uint64_t num_blocks() const noexcept override {
     return num_blocks_;
   }
   /// Bytes per fleet block.
-  [[nodiscard]] std::uint32_t block_bytes() const noexcept {
+  [[nodiscard]] std::uint32_t block_bytes() const noexcept override {
     return block_bytes_;
   }
   /// Total addressable bytes (num_blocks x block_bytes).
@@ -190,7 +192,7 @@ class Fleet {
   /// Snapshot of the shard map, sorted by first block.
   [[nodiscard]] std::vector<Extent> extents() const;
   /// True when any shard's backend serves submissions asynchronously.
-  [[nodiscard]] bool any_async() const;
+  [[nodiscard]] bool async() const override;
 
   // ----------------------------------------------------------- data path
 
@@ -200,7 +202,7 @@ class Fleet {
   /// Error contract mirrors io::StripeStore::read, plus kOutOfRange for
   /// blocks past the fleet space.
   [[nodiscard]] Status read(std::uint64_t block, std::span<std::uint8_t> out,
-                            io::ReadReceipt* receipt = nullptr);
+                            io::ReadReceipt* receipt = nullptr) override;
 
   /// Reads many fleet blocks, grouped per shard into batched
   /// StripeStore::read_batch submissions (async shards see their full
@@ -211,7 +213,8 @@ class Fleet {
   [[nodiscard]] Status read_batch(std::span<const std::uint64_t> blocks,
                                   std::span<std::uint8_t> out,
                                   std::span<Status> statuses,
-                                  std::span<io::ReadReceipt> receipts = {});
+                                  std::span<io::ReadReceipt> receipts = {})
+      override;
 
   /// Writes one fleet block from `data` (exactly block_bytes() wide);
   /// the owning shard maintains parity under its own codec.  During a
@@ -219,7 +222,7 @@ class Fleet {
   /// authoritative source side and invalidate the affected chunk.
   [[nodiscard]] Status write(std::uint64_t block,
                              std::span<const std::uint8_t> data,
-                             io::WriteReceipt* receipt = nullptr);
+                             io::WriteReceipt* receipt = nullptr) override;
 
   /// Flushes every shard's backend to its durability point.
   [[nodiscard]] Status sync();

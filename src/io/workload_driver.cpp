@@ -118,42 +118,91 @@ void canonical_fill(std::uint64_t logical, std::uint64_t seed,
   }
 }
 
-Status fill_canonical(StripeStore& store, std::uint64_t first,
+namespace {
+
+/// YCSB's default skew; theta = 1 would be a pole of the generator.
+constexpr double kZipfTheta = 0.99;
+
+/// A StripeStore as a BlockTarget: its logical units are the blocks.
+class StoreTarget final : public BlockTarget {
+ public:
+  explicit StoreTarget(StripeStore& store) : store_(store) {}
+
+  std::uint64_t num_blocks() const noexcept override {
+    return store_.num_logical_units();
+  }
+  std::uint32_t block_bytes() const noexcept override {
+    return store_.unit_bytes();
+  }
+  bool async() const override { return store_.backend().async(); }
+  Status read(std::uint64_t block, std::span<std::uint8_t> out,
+              ReadReceipt* receipt) override {
+    return store_.read(block, out, receipt);
+  }
+  Status read_batch(std::span<const std::uint64_t> blocks,
+                    std::span<std::uint8_t> out, std::span<Status> statuses,
+                    std::span<ReadReceipt> receipts) override {
+    return store_.read_batch(blocks, out, statuses, receipts);
+  }
+  Status write(std::uint64_t block, std::span<const std::uint8_t> data,
+               WriteReceipt* receipt) override {
+    return store_.write(block, data, receipt);
+  }
+
+ private:
+  StripeStore& store_;
+};
+
+}  // namespace
+
+Status fill_canonical(BlockTarget& target, std::uint64_t first,
                       std::uint64_t last, std::uint64_t seed) {
-  std::vector<std::uint8_t> unit(store.unit_bytes());
-  for (std::uint64_t logical = first; logical < last; ++logical) {
-    canonical_fill(logical, seed, unit);
-    if (Status written = store.write(logical, unit); !written.ok())
+  std::vector<std::uint8_t> block(target.block_bytes());
+  for (std::uint64_t b = first; b < last; ++b) {
+    canonical_fill(b, seed, block);
+    if (Status written = target.write(b, block, nullptr); !written.ok())
       return written;
   }
   return OkStatus();
 }
 
+Status fill_canonical(StripeStore& store, std::uint64_t first,
+                      std::uint64_t last, std::uint64_t seed) {
+  StoreTarget target(store);
+  return fill_canonical(target, first, last, seed);
+}
+
 WorkloadDriver::WorkloadDriver(StripeStore& store, WorkloadOptions options)
-    : store_(store), options_(options) {
+    : WorkloadDriver(std::make_unique<StoreTarget>(store), options) {}
+
+WorkloadDriver::WorkloadDriver(std::unique_ptr<BlockTarget> store_target,
+                               WorkloadOptions options)
+    : WorkloadDriver(*store_target, options) {
+  store_target_ = std::move(store_target);
+}
+
+WorkloadDriver::WorkloadDriver(BlockTarget& target, WorkloadOptions options)
+    : target_(target), options_(options) {
   if (options_.num_threads == 0) options_.num_threads = 1;
   if (options_.queue_depth == 0) options_.queue_depth = 1;
   options_.read_fraction = std::clamp(options_.read_fraction, 0.0, 1.0);
 
   if (options_.pattern == AccessPattern::kZipfian) {
-    // YCSB ZipfianGenerator parameters; theta = 1 is a pole, so clamp.
-    const double theta = std::clamp(options_.zipf_theta, 0.01, 0.99);
-    const auto n = static_cast<double>(store_.num_logical_units());
-    const double zetan = zipf_zetan(store_.num_logical_units(), theta);
-    zipf_zetan_ = zetan;
-    zipf_zeta2_ = 1.0 + 1.0 / std::pow(2.0, theta);
-    zipf_alpha_ = 1.0 / (1.0 - theta);
-    zipf_eta_ = (1.0 - std::pow(2.0 / n, 1.0 - theta)) /
-                (1.0 - zipf_zeta2_ / zetan);
-    options_.zipf_theta = theta;
+    // YCSB ZipfianGenerator parameters.
+    const auto n = static_cast<double>(target_.num_blocks());
+    const double zeta2 = 1.0 + 1.0 / std::pow(2.0, kZipfTheta);
+    zipf_zetan_ = zipf_zetan(target_.num_blocks(), kZipfTheta);
+    zipf_alpha_ = 1.0 / (1.0 - kZipfTheta);
+    zipf_eta_ = (1.0 - std::pow(2.0 / n, 1.0 - kZipfTheta)) /
+                (1.0 - zeta2 / zipf_zetan_);
   }
 }
 
 std::uint64_t WorkloadDriver::zipf_sample(double u) const noexcept {
-  const std::uint64_t n = store_.num_logical_units();
+  const std::uint64_t n = target_.num_blocks();
   const double uz = u * zipf_zetan_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, options_.zipf_theta)) return 1;
+  if (uz < 1.0 + std::pow(0.5, kZipfTheta)) return 1;
   const auto rank = static_cast<std::uint64_t>(
       static_cast<double>(n) *
       std::pow(zipf_eta_ * u - zipf_eta_ + 1.0, zipf_alpha_));
@@ -162,23 +211,22 @@ std::uint64_t WorkloadDriver::zipf_sample(double u) const noexcept {
 
 void WorkloadDriver::worker(std::uint32_t thread_index,
                             WorkloadStats& stats) const {
-  const std::uint64_t n = store_.num_logical_units();
-  const std::uint32_t unit_bytes = store_.unit_bytes();
-  // Against an async backend the batch's reads go out as one
-  // StripeStore::read_batch submission (queue_depth genuinely in
-  // flight); a synchronous backend would gain nothing, so reads are
-  // issued one by one exactly as before.
-  const bool batch_reads = store_.backend().async();
+  const std::uint64_t n = target_.num_blocks();
+  const std::uint32_t block_bytes = target_.block_bytes();
+  // Against an async target the batch's reads go out as one read_batch
+  // submission (queue_depth genuinely in flight); a synchronous target
+  // would gain nothing, so reads are issued one by one.
+  const bool batch_reads = target_.async();
   std::mt19937_64 rng(options_.seed * 0x9E3779B97F4A7C15ull + thread_index);
   std::uniform_real_distribution<double> unit_dist(0.0, 1.0);
 
-  std::vector<std::uint8_t> buffer(unit_bytes);
-  std::vector<std::uint8_t> expected(unit_bytes);
+  std::vector<std::uint8_t> buffer(block_bytes);
+  std::vector<std::uint8_t> expected(block_bytes);
   std::vector<std::uint64_t> batch(options_.queue_depth);
   std::vector<bool> is_read(options_.queue_depth);
   std::vector<std::uint64_t> read_addrs(options_.queue_depth);
   std::vector<std::uint8_t> read_bytes(
-      static_cast<std::size_t>(options_.queue_depth) * unit_bytes);
+      static_cast<std::size_t>(options_.queue_depth) * block_bytes);
   std::vector<Status> read_statuses(options_.queue_depth);
   std::vector<ReadReceipt> read_receipts(options_.queue_depth);
   std::uint64_t cursor = (n / options_.num_threads) * thread_index;
@@ -191,20 +239,20 @@ void WorkloadDriver::worker(std::uint32_t thread_index,
             .count(),
         std::numeric_limits<std::int64_t>::max()));
   };
-  const auto tally_read = [&](std::uint64_t logical, const Status& status,
+  const auto tally_read = [&](std::uint64_t block, const Status& status,
                               const ReadReceipt& receipt,
                               std::span<const std::uint8_t> bytes,
                               std::uint32_t latency_us) {
     if (status.ok()) {
       ++stats.reads;
-      stats.bytes_moved += unit_bytes;
+      stats.bytes_moved += block_bytes;
       stats.read_latency_us.push_back(latency_us);
       if (receipt.kind == api::ReadPlan::Kind::kDegraded)
         ++stats.degraded_reads;
       else
         ++stats.direct_reads;
       if (options_.verify_reads) {
-        canonical_fill(logical, options_.seed, expected);
+        canonical_fill(block, options_.seed, expected);
         if (!std::equal(bytes.begin(), bytes.end(), expected.begin()))
           ++stats.verify_failures;
       }
@@ -236,17 +284,17 @@ void WorkloadDriver::worker(std::uint32_t thread_index,
     }
 
     // Writes first, one by one (each is already a batched parity
-    // transaction inside the store)...
+    // transaction inside a store)...
     for (std::uint64_t i = 0; i < batch_size; ++i) {
       if (is_read[i]) continue;
-      const std::uint64_t logical = batch[i];
-      canonical_fill(logical, options_.seed, buffer);
+      const std::uint64_t block = batch[i];
+      canonical_fill(block, options_.seed, buffer);
       WriteReceipt receipt;
       const auto write_started = clock::now();
-      const Status status = store_.write(logical, buffer, &receipt);
+      const Status status = target_.write(block, buffer, &receipt);
       if (status.ok()) {
         ++stats.writes;
-        stats.bytes_moved += unit_bytes;
+        stats.bytes_moved += block_bytes;
         stats.write_latency_us.push_back(elapsed_us(write_started));
         switch (receipt.kind) {
           case api::WritePlan::Kind::kReadModifyWrite:
@@ -269,16 +317,16 @@ void WorkloadDriver::worker(std::uint32_t thread_index,
     }
 
     // ...then the batch's reads, as one deep submission when the
-    // backend is async.
+    // target is async.
     std::uint32_t num_reads = 0;
     for (std::uint64_t i = 0; i < batch_size; ++i)
       if (is_read[i]) read_addrs[num_reads++] = batch[i];
     if (batch_reads && num_reads > 0) {
       const auto started = clock::now();
-      (void)store_.read_batch(
+      (void)target_.read_batch(
           {read_addrs.data(), num_reads},
           {read_bytes.data(),
-           static_cast<std::size_t>(num_reads) * unit_bytes},
+           static_cast<std::size_t>(num_reads) * block_bytes},
           {read_statuses.data(), num_reads},
           {read_receipts.data(), num_reads});
       // Batched reads complete together: the submission's wall time is
@@ -289,14 +337,14 @@ void WorkloadDriver::worker(std::uint32_t thread_index,
       for (std::uint32_t i = 0; i < num_reads; ++i)
         tally_read(read_addrs[i], read_statuses[i], read_receipts[i],
                    {read_bytes.data() + static_cast<std::size_t>(i) *
-                                            unit_bytes,
-                    unit_bytes},
+                                            block_bytes,
+                    block_bytes},
                    latency);
     } else {
       for (std::uint32_t i = 0; i < num_reads; ++i) {
         ReadReceipt receipt;
         const auto started = clock::now();
-        const Status status = store_.read(read_addrs[i], buffer, &receipt);
+        const Status status = target_.read(read_addrs[i], buffer, &receipt);
         tally_read(read_addrs[i], status, receipt, buffer,
                    elapsed_us(started));
       }

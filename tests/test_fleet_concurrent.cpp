@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "fleet/fleet.hpp"
-#include "fleet/workload.hpp"
 #include "io/workload_driver.hpp"
 
 namespace pdl::fleet {
@@ -49,7 +48,7 @@ TEST(FleetConcurrent, RebuildUnderFireAcrossTwoShards) {
   ASSERT_TRUE(created.ok()) << created.status().to_string();
   Fleet& fleet = created.value();
   const std::uint64_t n = fleet.num_blocks();
-  ASSERT_TRUE(fill_canonical(fleet, 0, n, kSeed).ok());
+  ASSERT_TRUE(io::fill_canonical(fleet, 0, n, kSeed).ok());
 
   // One disk down in EACH shard, both replaced: both shards have
   // rebuildable work at the same time.
@@ -73,7 +72,7 @@ TEST(FleetConcurrent, RebuildUnderFireAcrossTwoShards) {
   workload.read_fraction = 0.7;
   workload.seed = kSeed;
   workload.verify_reads = true;
-  WorkloadDriver driver(fleet, workload);
+  io::WorkloadDriver driver(fleet, workload);
   const io::WorkloadStats stats = driver.run();
 
   for (std::thread& t : rebuilders) t.join();
@@ -107,7 +106,7 @@ TEST(FleetConcurrent, MigrationStagingRacesForegroundTraffic) {
   ASSERT_TRUE(created.ok()) << created.status().to_string();
   Fleet& fleet = created.value();
   const std::uint64_t n = fleet.num_blocks();
-  ASSERT_TRUE(fill_canonical(fleet, 0, n, kSeed).ok());
+  ASSERT_TRUE(io::fill_canonical(fleet, 0, n, kSeed).ok());
 
   auto attached =
       fleet.attach_shard(make_shard(17, 5, core::CodecKind::kXorParity, 1));
@@ -127,7 +126,7 @@ TEST(FleetConcurrent, MigrationStagingRacesForegroundTraffic) {
     workload.read_fraction = 0.5;
     workload.seed = kSeed;
     workload.verify_reads = true;
-    WorkloadDriver driver(fleet, workload);
+    io::WorkloadDriver driver(fleet, workload);
     const io::WorkloadStats stats = driver.run();
     EXPECT_EQ(stats.verify_failures, 0u);
     EXPECT_EQ(stats.errors, 0u);

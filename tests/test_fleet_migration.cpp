@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "fleet/fleet.hpp"
-#include "fleet/workload.hpp"
 #include "io/workload_driver.hpp"
 
 namespace pdl::fleet {
@@ -71,7 +70,7 @@ void expect_canonical(Fleet& fleet, std::uint64_t first, std::uint64_t last,
 TEST(FleetMigration, MovesExtentWithChecksumIdenticalCutover) {
   Fleet fleet = make_fleet();
   const std::uint64_t n = fleet.num_blocks();
-  ASSERT_TRUE(fill_canonical(fleet, 0, n, kSeed).ok());
+  ASSERT_TRUE(io::fill_canonical(fleet, 0, n, kSeed).ok());
 
   auto attached =
       fleet.attach_shard(make_shard(9, 4, core::CodecKind::kXorParity, 1));
@@ -127,7 +126,7 @@ TEST(FleetMigration, MovesExtentWithChecksumIdenticalCutover) {
 TEST(FleetMigration, WritesDuringMigrationInvalidateAndRecopy) {
   Fleet fleet = make_fleet();
   const std::uint64_t n = fleet.num_blocks();
-  ASSERT_TRUE(fill_canonical(fleet, 0, n, kSeed).ok());
+  ASSERT_TRUE(io::fill_canonical(fleet, 0, n, kSeed).ok());
 
   auto attached =
       fleet.attach_shard(make_shard(9, 4, core::CodecKind::kXorParity, 1));
@@ -165,7 +164,7 @@ TEST(FleetMigration, WritesDuringMigrationInvalidateAndRecopy) {
 TEST(FleetMigration, ConcurrentWriterSeesZeroDivergence) {
   Fleet fleet = make_fleet();
   const std::uint64_t n = fleet.num_blocks();
-  ASSERT_TRUE(fill_canonical(fleet, 0, n, kSeed).ok());
+  ASSERT_TRUE(io::fill_canonical(fleet, 0, n, kSeed).ok());
 
   auto attached =
       fleet.attach_shard(make_shard(17, 5, core::CodecKind::kXorParity, 1));
@@ -226,7 +225,7 @@ TEST(FleetMigration, ConcurrentWriterSeesZeroDivergence) {
 TEST(FleetMigration, DegradedSourceMigratesThroughReconstruction) {
   Fleet fleet = make_fleet();
   const std::uint64_t n = fleet.num_blocks();
-  ASSERT_TRUE(fill_canonical(fleet, 0, n, kSeed).ok());
+  ASSERT_TRUE(io::fill_canonical(fleet, 0, n, kSeed).ok());
 
   // Fail a disk in shard 0 and migrate OUT of it while degraded: the
   // staging reads reconstruct from survivors.
@@ -314,7 +313,7 @@ TEST(FleetMigration, StartValidationMatrix) {
 TEST(FleetMigration, AddShardPlansTheTailAndExpandDrivesItHome) {
   Fleet fleet = make_fleet();
   const std::uint64_t n = fleet.num_blocks();
-  ASSERT_TRUE(fill_canonical(fleet, 0, n, kSeed).ok());
+  ASSERT_TRUE(io::fill_canonical(fleet, 0, n, kSeed).ok());
 
   const std::uint32_t shards_before = fleet.num_shards();
   ASSERT_TRUE(

@@ -31,7 +31,6 @@
 #include "api/array.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/governor.hpp"
-#include "fleet/workload.hpp"
 #include "io/disk_backend.hpp"
 #include "io/scrubber.hpp"
 #include "io/stripe_store.hpp"
@@ -230,8 +229,7 @@ TEST(FleetScrub, GovernedScrubChargesTheGovernorAsScrub) {
   shards.push_back(make_shard(9, 4, true, nullptr));
   auto fleet = fleet::Fleet::create(std::move(shards), {.block_bytes = 64});
   ASSERT_TRUE(fleet.ok()) << fleet.status().to_string();
-  ASSERT_TRUE(
-      fleet::fill_canonical(*fleet, 0, fleet->num_blocks(), kSeed).ok());
+  ASSERT_TRUE(fill_canonical(*fleet, 0, fleet->num_blocks(), kSeed).ok());
 
   std::uint64_t blocked = ~0ull;
   const auto report = fleet->scrub_some(0, 4, &blocked);
@@ -260,8 +258,7 @@ TEST(FleetScrub, ScrubAllSweepsEveryShardAndHealsRot) {
   shards.push_back(make_shard(13, 4, true, &media[1]));
   auto fleet = fleet::Fleet::create(std::move(shards), {.block_bytes = 64});
   ASSERT_TRUE(fleet.ok()) << fleet.status().to_string();
-  ASSERT_TRUE(
-      fleet::fill_canonical(*fleet, 0, fleet->num_blocks(), kSeed).ok());
+  ASSERT_TRUE(fill_canonical(*fleet, 0, fleet->num_blocks(), kSeed).ok());
 
   // Rot one unit in each shard, behind the stores' backs.
   for (std::uint32_t s = 0; s < fleet->num_shards(); ++s)
