@@ -543,7 +543,6 @@ Result<WritePlan> Array::plan_write(std::uint64_t logical,
     plan.parity_index[plan.num_parities] = j;
     ++plan.num_parities;
   }
-  if (plan.num_parities > 0) plan.parity = plan.parity_targets[0];
 
   if (!data_lost && plan.num_parities > 0) {
     const StripeUnit& d = cur_unit(ref.stripe, ref.pos);
@@ -597,43 +596,6 @@ Result<WritePlan> Array::plan_write(std::uint64_t logical,
   plan.kind = WritePlan::Kind::kUnprotectedWrite;
   plan.data = {d.disk, lift + d.offset};
   return plan;
-}
-
-Result<std::uint32_t> Array::stripe_peers(
-    std::uint64_t logical, std::span<Physical> peers,
-    std::span<std::uint32_t> peer_index) const {
-  const std::uint64_t per_iter = data_units_.size();
-  const UnitRef ref = data_units_[logical % per_iter];
-  const std::uint64_t lift =
-      (logical / per_iter) * static_cast<std::uint64_t>(units_per_disk());
-  const Stripe& st = layout().stripes()[ref.stripe];
-  const std::uint32_t kd = stripe_num_data_[ref.stripe];
-
-  std::uint32_t count = 0;
-  for (std::uint32_t p = 0; p < st.units.size(); ++p) {
-    if (p == ref.pos || !is_content(ref.stripe, p)) continue;
-    if (unit_index_[ref.stripe][p] >= kd) continue;  // parity
-    if (is_lost(ref.stripe, p)) continue;
-    ++count;
-  }
-  if (peers.size() < count)
-    return Status::invalid_argument(
-        "peer span holds " + std::to_string(peers.size()) +
-        " slots, stripe needs " + std::to_string(count));
-  if (!peer_index.empty() && peer_index.size() < count)
-    return Status::invalid_argument(
-        "peer_index span holds " + std::to_string(peer_index.size()) +
-        " slots, stripe needs " + std::to_string(count));
-  std::uint32_t i = 0;
-  for (std::uint32_t p = 0; p < st.units.size(); ++p) {
-    if (p == ref.pos || !is_content(ref.stripe, p)) continue;
-    if (unit_index_[ref.stripe][p] >= kd) continue;  // parity
-    if (is_lost(ref.stripe, p)) continue;
-    const StripeUnit& u = cur_unit(ref.stripe, p);
-    if (!peer_index.empty()) peer_index[i] = unit_index_[ref.stripe][p];
-    peers[i++] = {u.disk, lift + u.offset};
-  }
-  return count;
 }
 
 Result<std::uint32_t> Array::stripe_units(

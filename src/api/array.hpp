@@ -162,8 +162,6 @@ struct WritePlan {
   };
   Kind kind = Kind::kReadModifyWrite;  ///< selected strategy
   Physical data;                 ///< data unit (valid unless data lost)
-  Physical parity;               ///< first surviving parity (legacy alias
-                                 ///< of parity_targets[0])
   std::uint32_t num_peer_reads = 0;  ///< kReconstructWrite: peers in `out`
   // -- codec-seam fields, in the codec's unit-index convention.
   std::uint32_t num_data = 0;    ///< data units in the stripe (k_d)
@@ -425,17 +423,7 @@ class Array {
       std::uint64_t logical, std::span<Physical> peer_reads,
       std::span<std::uint32_t> peer_index = {}) const;
 
-  /// The surviving data units of the logical's stripe, EXCLUDING the
-  /// addressed unit itself, at their current (redirect-aware) homes,
-  /// with codec data indices in `peer_index` when non-empty.  Returns
-  /// the peer count.  This is the read set for a full-stripe parity
-  /// re-encode (io::StripeStore's torn-parity heal).  kInvalidArgument
-  /// when a span is too small.
-  [[nodiscard]] Result<std::uint32_t> stripe_peers(
-      std::uint64_t logical, std::span<Physical> peers,
-      std::span<std::uint32_t> peer_index = {}) const;
-
-  /// One content unit of a stripe as the scrub/heal path sees it: its
+  /// One content unit of a stripe as the full-stripe paths see it: its
   /// codec index, its current (redirect-aware) iteration-0 home, and
   /// whether it is presently lost to a disk failure.
   struct StripeUnitStatus {
@@ -446,9 +434,10 @@ class Array {
   /// Every content unit (data + parity, spares excluded) of `stripe`
   /// under the current failure state, in codec-index order, written to
   /// `out`.  Returns the unit count (stripe_data_units + parities).
-  /// This is the full-stripe read/verify set for the integrity layer's
-  /// scrub and heal paths.  kInvalidArgument when `stripe` is out of
-  /// range or `out` is smaller than the stripe's content width.
+  /// This is io::StripeStore's full-stripe read set: scrub and heal,
+  /// the stripe audit, and the parity re-encode behind reconstruct-
+  /// writes and torn-parity heals.  kInvalidArgument when `stripe` is
+  /// out of range or `out` is smaller than the stripe's content width.
   [[nodiscard]] Result<std::uint32_t> stripe_units(
       std::uint32_t stripe, std::span<StripeUnitStatus> out) const;
 

@@ -15,11 +15,10 @@
 ///
 /// Pacing is pluggable, not built in: ScrubberOptions::pacer carries an
 /// acquire/refund hook pair called around every pass with the pass's
-/// estimated read footprint in bytes.  fleet::Fleet wires these to its
-/// RebuildGovernor (acquire blocks until the shared background-bytes
-/// budget covers the pass); a standalone deployment can leave them null
+/// estimated read footprint in bytes; a deployment can leave them null
 /// and scrub at full speed, or rate-limit with a token bucket of its
-/// own.
+/// own.  fleet::Fleet does not use a Scrubber: Fleet::scrub_some
+/// charges each slice to its RebuildGovernor directly.
 ///
 /// Drive it one of two ways:
 ///   * synchronously -- run_pass() for one governed slice, run_sweep()

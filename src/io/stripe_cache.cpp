@@ -165,6 +165,17 @@ StripeCache::DirtyUnit* StripeCache::DirtyEntry::find(
   return nullptr;
 }
 
+void StripeCache::DirtyEntry::pin(std::uint64_t logical, api::Physical home,
+                                  std::uint32_t data_index,
+                                  std::span<const std::uint8_t> bytes) {
+  if (DirtyUnit* unit = find(logical)) {
+    unit->bytes.assign(bytes.begin(), bytes.end());
+    return;
+  }
+  units.push_back({logical, home, data_index,
+                   std::vector<std::uint8_t>(bytes.begin(), bytes.end())});
+}
+
 StripeCache::DirtyEntry* StripeCache::dirty_find(std::uint64_t instance) {
   std::lock_guard lock(dirty_mutex_);
   const auto it = dirty_.find(instance);

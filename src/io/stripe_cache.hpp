@@ -172,6 +172,10 @@ class StripeCache {
 
     /// The absorbed write for `logical`, or nullptr.
     [[nodiscard]] DirtyUnit* find(std::uint64_t logical) noexcept;
+    /// Pins `bytes` as `logical`'s current value: overwrites its
+    /// absorbed write, or appends a new one.
+    void pin(std::uint64_t logical, api::Physical home,
+             std::uint32_t data_index, std::span<const std::uint8_t> bytes);
   };
 
   /// The instance's entry, or nullptr when it is clean.  Entries are

@@ -710,7 +710,7 @@ Status StripeStore::write(std::uint64_t logical,
   // CAS and pays the sweep; errors are not this write's to report (the
   // entries stay dirty and the next trigger retries).
   if (cache_ && cache_->any_dirty() && cache_->flush_due())
-    (void)flush_dirty_shared();
+    (void)flush_dirty();
   std::unique_lock stripe(shard_for(logical));
 
   for (int attempt = 0;; ++attempt) {
@@ -730,10 +730,10 @@ Status StripeStore::write(std::uint64_t logical,
 Status StripeStore::write_locked(std::uint64_t logical,
                                  std::span<const std::uint8_t> data,
                                  WriteReceipt* receipt) {
+  // plan_write lists a reconstruct-write's peers here; the re-encode
+  // gathers the whole stripe itself, so they go unread.
   std::array<Physical, 64> peers;
-  std::array<std::uint32_t, 64> peer_idx;
-  const auto plan = array_.plan_write(logical, peers,
-                                      {peer_idx.data(), peer_idx.size()});
+  const auto plan = array_.plan_write(logical, peers);
   if (!plan.ok()) return plan.status();
   if (receipt) {
     receipt->kind = plan->kind;
@@ -749,51 +749,33 @@ Status StripeStore::write_locked(std::uint64_t logical,
   }
 
   switch (plan->kind) {
-    case api::WritePlan::Kind::kReadModifyWrite: {
-      // A torn instance's parity cannot absorb a delta -- but all data
-      // units are intact here, so the write doubles as the heal: store
-      // the new data, re-encode every parity from scratch.
-      if (is_torn(instance)) {
-        if (cache_)
-          if (StripeCache::DirtyEntry* entry = cache_->dirty_find(instance)) {
-            // Torn WITH absorbed writes pending: a plain write_heal
-            // would re-encode from stale media peers.  Pin this write
-            // into the entry and fold the whole instance as one
-            // re-encode (media data with the pinned bytes overlaid),
-            // which heals the parity AND lands every absorbed write.
-            if (StripeCache::DirtyUnit* unit = entry->find(logical)) {
-              unit->bytes.assign(data.begin(), data.end());
-            } else {
-              entry->units.push_back(
-                  {logical, plan->data, plan->data_index,
-                   std::vector<std::uint8_t>(data.begin(), data.end())});
-            }
-            return fold_reencode_locked(instance, entry);
-          }
-        return write_heal(logical, *plan, data, instance, receipt);
+    case api::WritePlan::Kind::kReadModifyWrite:
+      if (!is_torn(instance)) {
+        if (cache_ && array_.healthy()) {
+          bool handled = false;
+          Status absorbed = absorb_rmw(*plan, logical, data, instance,
+                                       receipt, &handled);
+          if (handled) return absorbed;
+        }
+        return write_rmw(*plan, data, instance, receipt);
       }
-      if (cache_ && array_.healthy()) {
-        bool handled = false;
-        Status absorbed = absorb_rmw(*plan, logical, data, instance,
-                                     receipt, &handled);
-        if (handled) return absorbed;
-      }
-      return write_rmw(*plan, data, instance, receipt);
-    }
+      // A torn instance's parity cannot absorb a delta, so the write
+      // re-encodes it from the full data set instead -- the heal.
+      // Absorbed writes still pending join it: media peers alone are
+      // stale, so the fold re-encodes with every pinned write overlaid.
+      if (cache_)
+        if (StripeCache::DirtyEntry* entry = cache_->dirty_find(instance)) {
+          entry->pin(logical, plan->data, plan->data_index, data);
+          return fold_instance_locked(instance);
+        }
+      [[fallthrough]];
     case api::WritePlan::Kind::kReconstructWrite: {
-      // The addressed data unit is lost, so the stripe's OTHER lost data
-      // (if any) can only be recovered through parity -- which a torn
-      // instance forbids trusting.  Healing is impossible too (a data
-      // unit is gone), so the write must fail until a rebuild re-creates
-      // the lost unit.
-      if (is_torn(instance))
-        return Status::parity_inconsistent(
-            "logical " + std::to_string(logical) +
-            " needs a reconstruct-write, but its stripe instance is "
-            "parity-torn and degraded (unhealable until rebuilt)");
-      return write_reconstruct(
-          *plan, {peers.data(), plan->num_peer_reads},
-          {peer_idx.data(), plan->num_peer_reads}, data, instance, receipt);
+      // The new bytes stand in for the addressed unit (lost, for a
+      // reconstruct-write); the re-encode decodes any other lost data
+      // unit first.
+      std::array<std::span<const std::uint8_t>, 64> fresh{};
+      fresh[plan->data_index] = data;
+      return reencode_locked(instance, fresh, receipt);
     }
     case api::WritePlan::Kind::kUnprotectedWrite: {
       // Every parity is lost: the data unit lands alone.  Its old bytes
@@ -850,126 +832,97 @@ Status StripeStore::write_rmw(const api::WritePlan& plan,
   return OkStatus();
 }
 
-Status StripeStore::write_reconstruct(
-    const api::WritePlan& plan, std::span<const Physical> peers,
-    std::span<const std::uint32_t> peer_index,
-    std::span<const std::uint8_t> data, std::uint64_t instance,
+Status StripeStore::reencode_locked(
+    std::uint64_t instance,
+    std::span<const std::span<const std::uint8_t>> fresh,
     WriteReceipt* receipt) {
   const core::Codec& codec = array_.codec();
-  const std::uint32_t n = static_cast<std::uint32_t>(peers.size());
-  const std::uint32_t np = plan.num_parities;
   const std::uint32_t m = array_.num_parity_units();
-  const std::uint32_t kd = plan.num_data;
+  const auto stripe =
+      static_cast<std::uint32_t>(instance % array_.num_stripes());
+  const std::uint64_t iteration = instance / array_.num_stripes();
+  const std::uint64_t lift = iteration * array_.units_per_disk();
+  std::array<api::Array::StripeUnitStatus, 64> units;
+  const auto width = array_.stripe_units(stripe, units);
+  if (!width.ok()) return width.status();
+  const std::uint32_t kd = *width - m;
+  const auto given = [&](std::uint32_t u) {
+    return u < fresh.size() && !fresh[u].empty();
+  };
 
-  // Survivor set for the decode AND the rollback: peers first, then the
-  // surviving OLD parities.  The decode and the re-encode below trust
-  // every survivor byte, so the gather verifies them.
+  // Gather every present unit in codec order (data, then parities):
+  // the data set, the survivors of any decode and every rollback
+  // pre-image at once.  The decode and the re-encode trust these bytes,
+  // so the gather verifies them -- except on a torn instance, whose
+  // parity is untrustworthy by definition and whose data is taken as
+  // ground truth.  That parity decodes nothing, so a torn instance that
+  // lost a data unit cannot be re-encoded at all.
+  const bool torn = is_torn(instance);
   Txn txn(unit_bytes_);
-  for (std::uint32_t i = 0; i < n; ++i) txn.add(peers[i], peer_index[i]);
-  for (std::uint32_t j = 0; j < np; ++j)
-    txn.add(plan.parity_targets[j], kd + plan.parity_index[j]);
-  if (Status loaded = gather(txn, IoClass::kForegroundWrite, true);
-      !loaded.ok())
-    return loaded;
-
-  // Scratch: m decode buffers, then m re-encoded parities.
-  const auto scratch = txn.scratch(2 * static_cast<std::size_t>(m));
-  // Assemble the full data set: the new bytes stand in for the lost
-  // addressed unit, and any OTHER erased data unit is decoded from the
-  // old stripe state first (the survivor set excludes every erased
-  // unit, so the decode sees a consistent code word).
-  std::array<std::span<const std::uint8_t>, 64> data_spans;
-  for (std::uint32_t i = 0; i < n; ++i)
-    data_spans[peer_index[i]] = txn.bytes(i);
-  data_spans[plan.data_index] = data;
-  bool any_decode = false;
-  std::array<std::span<std::uint8_t>, api::kMaxParityUnits> outs{};
-  for (std::uint32_t e = 1; e < plan.num_erased; ++e) {
-    if (plan.erased_index[e] >= kd) continue;  // erased parity: re-encoded below
-    outs[e] = unit_slice(scratch, e, unit_bytes_);
-    any_decode = true;
+  std::array<std::uint32_t, 64> at{};  // codec index -> gathered unit
+  std::array<std::uint32_t, 64> erased{};
+  std::uint32_t num_erased = 0;
+  for (std::uint32_t u = 0; u < *width; ++u) {
+    if (units[u].lost) {
+      erased[num_erased++] = u;
+      continue;
+    }
+    at[u] = txn.size();
+    txn.add(Physical{units[u].unit.disk, units[u].unit.offset + lift}, u);
   }
-  if (any_decode) {
-    codec.reconstruct(kd, txn.bytes(0, n + np),
-                      {txn.buf.index.data(), n + np},
-                      {plan.erased_index.data(), plan.num_erased},
-                      {outs.data(), plan.num_erased});
-    for (std::uint32_t e = 1; e < plan.num_erased; ++e)
-      if (plan.erased_index[e] < kd) data_spans[plan.erased_index[e]] = outs[e];
-  }
-
-  // Re-encode EVERY parity from the assembled data, then commit the
-  // surviving ones (the erased parities have nowhere to go -- rebuild
-  // re-creates them).  A rolled-back commit leaves the stripe encoding
-  // the OLD value of the lost unit, so a degraded read stays consistent.
-  std::array<std::span<std::uint8_t>, api::kMaxParityUnits> parity_out;
-  for (std::uint32_t j = 0; j < m; ++j)
-    parity_out[j] = unit_slice(scratch, m + j, unit_bytes_);
-  codec.encode({data_spans.data(), kd}, {parity_out.data(), m});
-  for (std::uint32_t j = 0; j < np; ++j)
-    txn.write(n + j, parity_out[plan.parity_index[j]]);
-  if (Status stored = commit(txn, instance, IoClass::kForegroundWrite);
-      !stored.ok())
-    return stored;
-  txn.report(receipt);
-  return OkStatus();
-}
-
-Status StripeStore::write_heal(std::uint64_t logical,
-                               const api::WritePlan& plan,
-                               std::span<const std::uint8_t> data,
-                               std::uint64_t instance,
-                               WriteReceipt* receipt) {
-  const core::Codec& codec = array_.codec();
-  const std::uint32_t kd = plan.num_data;
-  const std::uint32_t m = array_.num_parity_units();
-  const std::uint32_t np = plan.num_parities;
-  std::array<Physical, 64> peers;
-  std::array<std::uint32_t, 64> peer_idx;
-  const auto count =
-      array_.stripe_peers(logical, peers, {peer_idx.data(), peer_idx.size()});
-  if (!count.ok()) return count.status();
-  if (*count + 1 != kd)
+  if (torn && num_erased > 0 && erased[0] < kd)
     return Status::parity_inconsistent(
-        "stripe instance is parity-torn AND degraded: a peer data unit is "
-        "lost, so its parity cannot be re-encoded from data (unhealable "
-        "until the lost unit is rebuilt from a replacement image)");
-
-  // Heal = full-stripe re-encode: every peer's bytes plus the incoming
-  // write give the complete data set; the codec then yields parity that
-  // is consistent BY CONSTRUCTION, regardless of what the torn parity
-  // units currently hold.  The old data and parities are gathered only
-  // for the commit's rollback.  (Nothing is checksum-verified here: a
-  // torn instance's parity is untrustworthy by definition, so rot in a
-  // peer would be unhealable anyway -- the re-encode takes the peers as
-  // ground truth.)
-  Txn txn(unit_bytes_);
-  txn.add(plan.data);
-  for (std::uint32_t j = 0; j < np; ++j) txn.add(plan.parity_targets[j]);
-  for (std::uint32_t i = 0; i < *count; ++i) txn.add(peers[i]);
-  if (Status loaded = gather(txn, IoClass::kForegroundWrite, false);
+        "stripe " + std::to_string(stripe) + " iteration " +
+        std::to_string(iteration) +
+        " is parity-torn and lost a data unit: its parity cannot be "
+        "re-encoded from data while that unit is lost");
+  if (Status loaded = gather(txn, IoClass::kForegroundWrite, !torn);
       !loaded.ok())
     return loaded;
-  std::array<std::span<const std::uint8_t>, 64> data_spans;
-  for (std::uint32_t i = 0; i < *count; ++i)
-    data_spans[peer_idx[i]] = txn.bytes(1 + np + i);
-  data_spans[plan.data_index] = data;
-  const auto scratch = txn.scratch(m);
-  std::array<std::span<std::uint8_t>, api::kMaxParityUnits> parity_out;
-  for (std::uint32_t j = 0; j < m; ++j)
-    parity_out[j] = unit_slice(scratch, j, unit_bytes_);
-  codec.encode({data_spans.data(), kd}, {parity_out.data(), m});
 
-  // A failed commit rolls back and the stripe simply STAYS torn, so the
+  // The data set: new bytes where given, media bytes where present, and
+  // any other lost data unit decoded from the OLD code word (the
+  // survivors exclude every erased unit, so the decode is consistent).
+  // Scratch: m decode slots, then the m re-encoded parities.
+  const auto scratch = txn.scratch(2 * static_cast<std::size_t>(m));
+  std::array<std::span<const std::uint8_t>, 64> data;
+  std::array<std::span<std::uint8_t>, api::kMaxParityUnits> decoded{};
+  bool any_decode = false;
+  for (std::uint32_t u = 0; u < kd; ++u)
+    if (given(u))
+      data[u] = fresh[u];
+    else if (!units[u].lost)
+      data[u] = txn.bytes(at[u]);
+  for (std::uint32_t e = 0; e < num_erased; ++e)
+    if (erased[e] < kd && !given(erased[e])) {
+      decoded[e] = unit_slice(scratch, e, unit_bytes_);
+      data[erased[e]] = decoded[e];
+      any_decode = true;
+    }
+  if (any_decode)
+    codec.reconstruct(kd, txn.bytes(0, txn.size()),
+                      {txn.buf.index.data(), txn.size()},
+                      {erased.data(), num_erased},
+                      {decoded.data(), num_erased});
+  std::array<std::span<std::uint8_t>, api::kMaxParityUnits> parity;
+  for (std::uint32_t j = 0; j < m; ++j)
+    parity[j] = unit_slice(scratch, m + j, unit_bytes_);
+  codec.encode({data.data(), kd}, {parity.data(), m});
+
+  // Commit the present new data units and every surviving parity (a
+  // lost unit has nowhere to go -- rebuild re-creates it).  A failed
+  // commit rolls back: a reconstruct-write's stripe keeps encoding the
+  // lost unit's OLD value, and a torn instance simply stays torn, so the
   // heal can be retried.  Clearing the tear before every write landed
   // would let a parity-trusting read through too early.
-  txn.write(0, data);
-  for (std::uint32_t j = 0; j < np; ++j)
-    txn.write(1 + j, parity_out[plan.parity_index[j]]);
+  for (std::uint32_t u = 0; u < kd; ++u)
+    if (given(u) && !units[u].lost) txn.write(at[u], fresh[u]);
+  for (std::uint32_t j = 0; j < m; ++j)
+    if (!units[kd + j].lost) txn.write(at[kd + j], parity[j]);
   if (Status stored = commit(txn, instance, IoClass::kForegroundWrite);
       !stored.ok())
     return stored;
-  clear_torn(instance);
+  if (torn) clear_torn(instance);
   txn.report(receipt);
   return OkStatus();
 }
@@ -1028,13 +981,7 @@ Status StripeStore::absorb_rmw(const api::WritePlan& plan,
   for (std::uint32_t j = 0; j < entry->num_parity; ++j)
     codec.update(entry->delta[j], entry->parity_index[j], plan.data_index,
                  delta);
-  if (unit) {
-    unit->bytes.assign(data.begin(), data.end());
-  } else {
-    entry->units.push_back(
-        {logical, plan.data, plan.data_index,
-         std::vector<std::uint8_t>(data.begin(), data.end())});
-  }
+  entry->pin(logical, plan.data, plan.data_index, data);
   cache_->count_absorb();
   if (receipt) {
     // Same shape an immediate RMW would report: the units the write
@@ -1069,10 +1016,25 @@ Status StripeStore::fold_instance_locked(std::uint64_t instance) {
     cache_->dirty_erase(instance);
     return OkStatus();
   }
-  if (is_torn(instance)) return fold_reencode_locked(instance, entry);
+  const auto nd = static_cast<std::uint32_t>(entry->units.size());
+  if (is_torn(instance)) {
+    // Torn parity cannot take the accumulated deltas, but a dirty
+    // instance is fully present (dirty implies healthy): re-encode every
+    // parity from media data with the pinned writes overlaid, landing
+    // them and clearing the tear in one batch.  A failed commit keeps
+    // the entry for a later retry.
+    std::array<std::span<const std::uint8_t>, 64> fresh{};
+    for (const StripeCache::DirtyUnit& u : entry->units)
+      fresh[u.data_index] = u.bytes;
+    if (Status healed = reencode_locked(instance, fresh, nullptr);
+        !healed.ok())
+      return healed;
+    cache_->count_fold(nd);
+    cache_->dirty_erase(instance);
+    return OkStatus();
+  }
 
   const std::uint32_t np = entry->num_parity;
-  const auto nd = static_cast<std::uint32_t>(entry->units.size());
   // Gather the np parity pre-images, then the nd dirty units' media
   // pre-images (the rollback needs them).  Verify every pre-image
   // BEFORE folding -- rot would otherwise be laundered into the new
@@ -1112,66 +1074,8 @@ Status StripeStore::fold_instance_locked(std::uint64_t instance) {
   return OkStatus();
 }
 
-Status StripeStore::fold_reencode_locked(std::uint64_t instance,
-                                         StripeCache::DirtyEntry* entry) {
-  // Torn + dirty: the accumulated deltas are useless (the parity they
-  // would fold into no longer matches the data), but the instance is
-  // still FULLY PRESENT (dirty implies healthy), so re-encode every
-  // parity from the complete data set -- media bytes with the pinned
-  // dirty writes overlaid -- exactly like write_heal, landing the
-  // absorbed writes and clearing the tear in one journaled batch.
-  // Like write_heal, pre-images are NOT checksum-verified: a torn
-  // instance's parity is untrustworthy by definition, so the re-encode
-  // takes the data bytes as ground truth.
-  const core::Codec& codec = array_.codec();
-  const std::uint32_t m = array_.num_parity_units();
-  const auto stripe = static_cast<std::uint32_t>(instance %
-                                                 array_.num_stripes());
-  const auto iteration = static_cast<std::uint32_t>(instance /
-                                                    array_.num_stripes());
-  const std::uint64_t lift =
-      static_cast<std::uint64_t>(iteration) * array_.units_per_disk();
-  std::array<api::Array::StripeUnitStatus, 64> units;
-  const auto width_r = array_.stripe_units(stripe, units);
-  if (!width_r.ok()) return width_r.status();
-  const std::uint32_t width = *width_r;
-  const std::uint32_t kd = width - m;
-
-  // Gather the whole stripe in codec order (data 0..kd-1, then the
-  // parities): the data set and every rollback pre-image at once.
-  Txn txn(unit_bytes_);
-  for (std::uint32_t u = 0; u < width; ++u)
-    txn.add(Physical{units[u].unit.disk, units[u].unit.offset + lift});
-  if (Status loaded = gather(txn, IoClass::kForegroundWrite, false);
-      !loaded.ok())
-    return loaded;
-
-  // Data set = media bytes with every pinned dirty write overlaid.
-  std::array<std::span<const std::uint8_t>, 64> data_spans;
-  for (std::uint32_t u = 0; u < kd; ++u) data_spans[u] = txn.bytes(u);
-  for (const StripeCache::DirtyUnit& u : entry->units)
-    data_spans[u.data_index] = u.bytes;
-  const auto scratch = txn.scratch(m);
-  std::array<std::span<std::uint8_t>, api::kMaxParityUnits> parity_out;
-  for (std::uint32_t j = 0; j < m; ++j)
-    parity_out[j] = unit_slice(scratch, j, unit_bytes_);
-  codec.encode({data_spans.data(), kd}, {parity_out.data(), m});
-
-  // A failed commit returns the instance to its pre-fold (still torn)
-  // state and keeps the entry for a later retry.
-  for (const StripeCache::DirtyUnit& u : entry->units)
-    txn.write(u.data_index, u.bytes);
-  for (std::uint32_t j = 0; j < m; ++j) txn.write(kd + j, parity_out[j]);
-  if (Status stored = commit(txn, instance, IoClass::kForegroundWrite);
-      !stored.ok())
-    return stored;
-  clear_torn(instance);
-  cache_->count_fold(entry->units.size());
-  cache_->dirty_erase(instance);
-  return OkStatus();
-}
-
-Status StripeStore::flush_dirty_shared() {
+Status StripeStore::flush_dirty() {
+  if (!cache_ || !cache_->any_dirty()) return OkStatus();
   Status first;
   for (const std::uint64_t instance : cache_->dirty_instances()) {
     std::unique_lock shard(sync_->shards[instance % sync_->shards.size()]);
@@ -1190,34 +1094,16 @@ Status StripeStore::flush_dirty_shared() {
   return first;
 }
 
-Status StripeStore::flush_dirty_exclusive() {
-  if (!cache_ || !cache_->any_dirty()) return OkStatus();
-  Status first;
-  for (const std::uint64_t instance : cache_->dirty_instances()) {
-    Status folded = fold_instance_locked(instance);
-    if (folded.code() == StatusCode::kChecksumMismatch) {
-      (void)heal_instance_locked(
-          static_cast<std::uint32_t>(instance % array_.num_stripes()),
-          static_cast<std::uint32_t>(instance / array_.num_stripes()),
-          nullptr);
-      folded = fold_instance_locked(instance);
-    }
-    if (!folded.ok() && first.ok()) first = folded;
-  }
-  return first;
-}
-
 Status StripeStore::flush_cache() {
-  if (!cache_) return OkStatus();
   std::shared_lock state(sync_->state);
-  return flush_dirty_shared();
+  return flush_dirty();
 }
 
 Status StripeStore::sync() {
   std::unique_lock lock(sync_->state);  // exclude in-flight writers
   // Absorbed writes are not durable until folded: flush first, so the
   // backend sync below covers them.
-  if (Status flushed = flush_dirty_exclusive(); !flushed.ok())
+  if (Status flushed = flush_dirty(); !flushed.ok())
     return flushed;
   for (DiskId disk = 0; disk < array_.num_disks(); ++disk)
     if (Status synced = backend_->sync(disk); !synced.ok()) return synced;
@@ -1233,7 +1119,7 @@ Status StripeStore::fail_disk(DiskId disk) {
   // and folding against the still-complete array is the only fold that
   // is consistent.  On a fold error the failure is refused -- the
   // caller retries after the underlying fault clears.
-  if (Status flushed = flush_dirty_exclusive(); !flushed.ok())
+  if (Status flushed = flush_dirty(); !flushed.ok())
     return flushed;
   sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
   if (Status failed = array_.fail_disk(disk); !failed.ok()) return failed;
@@ -1720,7 +1606,7 @@ Result<std::uint64_t> StripeStore::verify_stripes() {
   std::unique_lock lock(sync_->state);
   // Media is only a consistent code word modulo the dirty table: fold
   // everything first so the sweep verifies the real current state.
-  if (Status flushed = flush_dirty_exclusive(); !flushed.ok())
+  if (Status flushed = flush_dirty(); !flushed.ok())
     return flushed;
   const core::Codec& codec = array_.codec();
   const std::uint32_t m = array_.num_parity_units();

@@ -32,8 +32,9 @@
 /// parity-trusting operation on it (degraded reads, RMW, rebuild of a
 /// data unit) returns a typed kParityInconsistent Status instead of
 /// serving silently-wrong reconstructions.  A later successful write to
-/// the instance heals it: the store re-encodes every surviving parity
-/// from the full data set and clears the flag.
+/// the instance (or, with the stripe cache on, a fold of its absorbed
+/// writes) heals it: the store re-encodes every surviving parity from
+/// the full data set and clears the flag.
 ///
 /// Backends: every byte path is one stripe transaction.  Its gather
 /// reads the units the path needs in one batched submission (checking
@@ -477,22 +478,21 @@ class StripeStore {
                                  std::span<const std::uint8_t> data,
                                  std::uint64_t instance,
                                  WriteReceipt* receipt);
-  /// Reconstruct-write: gathers the peers and the surviving parities,
-  /// decodes any second erased data unit, re-encodes every parity from
-  /// the new data set and commits the surviving ones.  Caller holds the
-  /// locks.
-  [[nodiscard]] Status write_reconstruct(
-      const api::WritePlan& plan, std::span<const Physical> peers,
-      std::span<const std::uint32_t> peer_index,
-      std::span<const std::uint8_t> data, std::uint64_t instance,
+  /// Full-stripe re-encode, the one path that rewrites parity from a
+  /// complete data set: reconstruct-writes, torn RMWs and torn cache
+  /// folds.  `fresh[i]` holds data unit i's new bytes (empty or past the
+  /// end: none).  Gathers every present unit of the instance in codec
+  /// order through Array::stripe_units, CRC-checked unless the instance
+  /// is torn; decodes any lost data unit without new bytes; encodes
+  /// every parity; and commits the present new data units and every
+  /// surviving parity as one transaction, clearing the torn flag once it
+  /// lands.  kParityInconsistent (instance stays torn) when a torn
+  /// instance lost a data unit.  Caller holds the state lock and the
+  /// instance's shard lock exclusively.
+  [[nodiscard]] Status reencode_locked(
+      std::uint64_t instance,
+      std::span<const std::span<const std::uint8_t>> fresh,
       WriteReceipt* receipt);
-  /// Torn-parity heal: write the data unit and re-encode EVERY surviving
-  /// parity from the full data set, clearing the torn flag on success.
-  [[nodiscard]] Status write_heal(std::uint64_t logical,
-                                  const api::WritePlan& plan,
-                                  std::span<const std::uint8_t> data,
-                                  std::uint64_t instance,
-                                  WriteReceipt* receipt);
   /// Rebuild staging: gathers every survivor of every step (all
   /// iterations) in one kRebuild-tagged transaction and decodes each
   /// target into the transaction's scratch, which must stay alive
@@ -565,22 +565,18 @@ class StripeStore {
   /// Folds one dirty instance to media: one committed batch writing
   /// every pinned data unit plus each parity's old bytes XOR its
   /// accumulated delta (linearity makes that byte-identical to per-op
-  /// RMW).  A failed commit rolls back to the pre-fold image (entry
-  /// kept -- the deltas stay valid) or marks the instance torn.
-  /// kChecksumMismatch when a pre-image fails verification -- callers
-  /// heal and retry.  Caller holds the state lock (shared, with the
-  /// instance's shard lock exclusive) or the exclusive state lock.
+  /// RMW); a torn instance is re-encoded instead (reencode_locked, with
+  /// the pinned bytes as its new data).  A failed commit rolls back to
+  /// the pre-fold image (entry kept -- the deltas stay valid) or marks
+  /// the instance torn.  kChecksumMismatch when a pre-image fails
+  /// verification -- callers heal and retry.  Caller holds the state
+  /// lock (shared, with the instance's shard lock exclusive) or the
+  /// exclusive state lock.
   [[nodiscard]] Status fold_instance_locked(std::uint64_t instance);
-  /// Torn-instance fold: full-stripe re-encode from media data with
-  /// the pinned dirty bytes overlaid (the dirty-table analogue of
-  /// write_heal), clearing the torn flag on success.
-  [[nodiscard]] Status fold_reencode_locked(std::uint64_t instance,
-                                            StripeCache::DirtyEntry* entry);
   /// Folds every dirty instance, taking each instance's shard lock
-  /// exclusively in turn; caller holds the state lock shared.
-  [[nodiscard]] Status flush_dirty_shared();
-  /// Folds every dirty instance; caller holds the exclusive state lock.
-  [[nodiscard]] Status flush_dirty_exclusive();
+  /// exclusively in turn (uncontended under the exclusive state lock);
+  /// caller holds the state lock, shared or exclusive.
+  [[nodiscard]] Status flush_dirty();
 
   api::Array array_;
   std::uint32_t unit_bytes_ = 0;

@@ -287,7 +287,7 @@ TEST(ArrayState, DegradedWritePlansResolveParityPeers) {
   ASSERT_TRUE(write.ok());
   EXPECT_EQ(write->kind, WritePlan::Kind::kReadModifyWrite);
   EXPECT_EQ(write->data, array.map(0));
-  EXPECT_EQ(write->parity, array.parity_of(0));
+  EXPECT_EQ(write->parity_targets[0], array.parity_of(0));
 
   // Fail the data unit's disk: the write folds into parity through the
   // k-2 surviving data peers.
@@ -296,7 +296,7 @@ TEST(ArrayState, DegradedWritePlansResolveParityPeers) {
   ASSERT_TRUE(write.ok());
   ASSERT_EQ(write->kind, WritePlan::Kind::kReconstructWrite);
   EXPECT_EQ(write->num_peer_reads, k - 2);
-  EXPECT_EQ(write->parity, array.parity_of(0));
+  EXPECT_EQ(write->parity_targets[0], array.parity_of(0));
 
   // A logical whose parity (but not data) died gets an unprotected write.
   const std::uint32_t failed = array.map(0).disk;
@@ -440,7 +440,6 @@ TEST(ArrayState, ReedSolomonSurvivesTwoFailuresAndPlansBothParities) {
   EXPECT_EQ(healthy_plan->num_parities, 2u);
   EXPECT_EQ(healthy_plan->parity_index[0], 0u);
   EXPECT_EQ(healthy_plan->parity_index[1], 1u);
-  EXPECT_EQ(healthy_plan->parity, healthy_plan->parity_targets[0]);
 
   // Two failed disks: where XOR declares loss, RS still resolves every
   // logical (locate never reports kUnrecoverable, plan_write never
