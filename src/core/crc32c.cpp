@@ -4,7 +4,7 @@
 #include <cstring>
 
 #if defined(__x86_64__)
-#include <nmmintrin.h>
+#include <immintrin.h>
 #endif
 
 namespace pdl::core {
@@ -116,6 +116,15 @@ constexpr ShiftTable kShift;
   return word;
 }
 
+/// One crc32q stream over `n` bytes, then bytes.
+__attribute__((target("sse4.2"))) inline std::uint32_t crc32q_stream(
+    const std::uint8_t* p, std::size_t n, std::uint64_t crc) noexcept {
+  for (; n >= 8; p += 8, n -= 8) crc = _mm_crc32_u64(crc, load64(p));
+  auto crc32 = static_cast<std::uint32_t>(crc);
+  while (n-- > 0) crc32 = _mm_crc32_u8(crc32, *p++);
+  return crc32;
+}
+
 /// SSE4.2 crc32q.  One stream is bound by the instruction's latency, so
 /// every 3 x kStride block runs three independent streams and merges
 /// them through kShift; the tail runs as one stream.
@@ -134,41 +143,154 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
     p += 2 * kStride;
     n -= 3 * kStride;
   }
-  for (; n >= 8; p += 8, n -= 8) crc0 = _mm_crc32_u64(crc0, load64(p));
-  auto crc32 = static_cast<std::uint32_t>(crc0);
-  while (n-- > 0) crc32 = _mm_crc32_u8(crc32, *p++);
-  return crc32;
+  return crc32q_stream(p, n, crc0);
+}
+
+/// x^n mod P as the 64-bit operand of a reflected carry-less multiply:
+/// the coefficient of x^m sits at bit 63 - m.
+constexpr std::uint64_t xpow_mod(std::size_t n) noexcept {
+  std::uint32_t r = 0x80000000u;  // x^0 in the reflected register
+  for (; n > 0; --n) r = (r >> 1) ^ ((r & 1u) ? kPoly : 0u);
+  return static_cast<std::uint64_t>(r) << 32;
+}
+
+/// The two constants that fold a 128-bit lane forward by `lanes` lanes.
+struct FoldPair {
+  std::uint64_t lo;  ///< x^(128 lanes + 63) mod P, for the lane's low qword
+  std::uint64_t hi;  ///< x^(128 lanes - 1) mod P, for its high qword
+};
+
+constexpr FoldPair fold_pair(std::size_t lanes) noexcept {
+  return {xpow_mod(128 * lanes + 63), xpow_mod(128 * lanes - 1)};
+}
+
+constexpr FoldPair kFold1 = fold_pair(1);
+constexpr FoldPair kFold2 = fold_pair(2);
+constexpr FoldPair kFold3 = fold_pair(3);
+constexpr FoldPair kFold4 = fold_pair(4);
+constexpr FoldPair kFold8 = fold_pair(8);
+constexpr FoldPair kFold12 = fold_pair(12);
+constexpr FoldPair kFold16 = fold_pair(16);
+
+/// `k` in every 128-bit lane.
+__attribute__((target("avx512f"))) inline __m512i broadcast(
+    FoldPair k) noexcept {
+  const auto lo = static_cast<long long>(k.lo);
+  const auto hi = static_cast<long long>(k.hi);
+  return _mm512_set_epi64(hi, lo, hi, lo, hi, lo, hi, lo);
+}
+
+/// Each 128-bit lane of `x` multiplied forward by its lane of `k`.
+__attribute__((target("avx512f,vpclmulqdq"))) inline __m512i fold(
+    __m512i x, __m512i k) noexcept {
+  return _mm512_xor_si512(_mm512_clmulepi64_epi128(x, k, 0x00),
+                          _mm512_clmulepi64_epi128(x, k, 0x11));
+}
+
+/// fold(x, k) ^ y as one three-way XOR.
+__attribute__((target("avx512f,vpclmulqdq"))) inline __m512i fold_into(
+    __m512i x, __m512i k, __m512i y) noexcept {
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(x, k, 0x00),
+                                   _mm512_clmulepi64_epi128(x, k, 0x11), y,
+                                   0x96);
+}
+
+/// AVX-512 VPCLMULQDQ.  Four 512-bit accumulators carry the message 256
+/// bytes per step: each 128-bit lane is multiplied forward by 2048 bits
+/// (to the same lane of the next block) and XORed with the new bytes.
+/// The end of the last block is one 128-bit remainder congruent to the
+/// message, which two crc32q reduce; a tail under 256 bytes runs on
+/// crc32q.  Reads stay inside [p, p + n).
+///
+/// Why FoldPair's exponents: a lane's low qword holds the earlier bytes,
+/// so moving the lane D bits forward multiplies the low qword by
+/// x^(D+64) and the high one by x^D; a reflected carry-less product
+/// lands one degree high, so each constant is one power lower.
+__attribute__((target("avx512f,vpclmulqdq,sse4.2"))) std::uint32_t
+crc32c_vpclmul512(const std::uint8_t* p, std::size_t n,
+                  std::uint32_t crc) noexcept {
+  constexpr std::size_t kBlock = 256;
+  std::uint64_t crc0 = crc;
+  if (n >= kBlock) {
+    // The register enters as an XOR into the first four bytes.
+    __m512i x0 = _mm512_xor_si512(_mm512_loadu_si512(p),
+                                  _mm512_set_epi64(0, 0, 0, 0, 0, 0, 0,
+                                                   static_cast<long long>(crc)));
+    __m512i x1 = _mm512_loadu_si512(p + 64);
+    __m512i x2 = _mm512_loadu_si512(p + 128);
+    __m512i x3 = _mm512_loadu_si512(p + 192);
+    p += kBlock;
+    n -= kBlock;
+
+    const __m512i k16 = broadcast(kFold16);
+    for (; n >= kBlock; p += kBlock, n -= kBlock) {
+      x0 = fold_into(x0, k16, _mm512_loadu_si512(p));
+      x1 = fold_into(x1, k16, _mm512_loadu_si512(p + 64));
+      x2 = fold_into(x2, k16, _mm512_loadu_si512(p + 128));
+      x3 = fold_into(x3, k16, _mm512_loadu_si512(p + 192));
+    }
+
+    // x0..x2 fold onto x3 (12, 8 and 4 lanes ahead), then x3's lanes 0-2
+    // fold onto its lane 3 while lane 3 passes through unmultiplied.
+    x3 = _mm512_ternarylogic_epi64(fold(x0, broadcast(kFold12)),
+                                   fold(x1, broadcast(kFold8)),
+                                   fold_into(x2, broadcast(kFold4), x3), 0x96);
+    const __m512i to_lane3 = _mm512_set_epi64(
+        0, 0, static_cast<long long>(kFold1.hi),
+        static_cast<long long>(kFold1.lo), static_cast<long long>(kFold2.hi),
+        static_cast<long long>(kFold2.lo), static_cast<long long>(kFold3.hi),
+        static_cast<long long>(kFold3.lo));
+    alignas(64) std::uint64_t q[8]{};
+    _mm512_store_si512(
+        q, fold_into(x3, to_lane3, _mm512_maskz_mov_epi64(0xC0, x3)));
+    crc0 = _mm_crc32_u64(_mm_crc32_u64(0, q[0] ^ q[2] ^ q[4] ^ q[6]),
+                         q[1] ^ q[3] ^ q[5] ^ q[7]);
+  }
+  return crc32q_stream(p, n, crc0);
 }
 
 #endif  // __x86_64__
 
-/// The fastest kernel the running CPU supports, chosen at first call.
-Kernel kernel() noexcept {
-  static const Kernel chosen = []() -> Kernel {
-#if defined(__x86_64__)
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("sse4.2")) return &crc32c_sse42;
-#endif
-    return &crc32c_sw;
-  }();
-  return chosen;
+/// A kernel behind pdl::core::crc32c's contract: the seed is a finished
+/// CRC, the kernels run on the inverted register.
+template <Kernel K>
+std::uint32_t seeded(std::span<const std::uint8_t> data,
+                     std::uint32_t seed) noexcept {
+  return K(data.data(), data.size(), seed ^ 0xFFFFFFFFu) ^ 0xFFFFFFFFu;
 }
 
 }  // namespace
 
-std::uint32_t crc32c(std::span<const std::uint8_t> data,
-                     std::uint32_t seed) noexcept {
-  return kernel()(data.data(), data.size(), seed ^ 0xFFFFFFFFu) ^ 0xFFFFFFFFu;
-}
-
 namespace detail {
 
-std::uint32_t crc32c_portable(std::span<const std::uint8_t> data,
-                              std::uint32_t seed) noexcept {
-  return crc32c_sw(data.data(), data.size(), seed ^ 0xFFFFFFFFu) ^
-         0xFFFFFFFFu;
+std::span<const Crc32cKernel> crc32c_kernels() noexcept {
+  struct Supported {
+    std::array<Crc32cKernel, 3> kernels{};
+    std::size_t count = 0;
+  };
+  static const Supported supported = [] {
+    Supported s;
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sse4.2")) {
+      if (__builtin_cpu_supports("avx512f") &&
+          __builtin_cpu_supports("vpclmulqdq"))
+        s.kernels[s.count++] = {"vpclmul512", &seeded<&crc32c_vpclmul512>};
+      s.kernels[s.count++] = {"sse42", &seeded<&crc32c_sse42>};
+    }
+#endif
+    s.kernels[s.count++] = {"portable", &seeded<&crc32c_sw>};
+    return s;
+  }();
+  return {supported.kernels.data(), supported.count};
 }
 
 }  // namespace detail
+
+std::uint32_t crc32c(std::span<const std::uint8_t> data,
+                     std::uint32_t seed) noexcept {
+  static const detail::Crc32c chosen = detail::crc32c_kernels().front().crc;
+  return chosen(data, seed);
+}
 
 }  // namespace pdl::core

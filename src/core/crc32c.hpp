@@ -10,15 +10,21 @@
 /// (SSE4.2 crc32 on x86, CRC extensions on ARM).
 ///
 /// Implementation: the kernel is chosen once, at first call, from what
-/// the running CPU supports; the build stays baseline x86-64.  With
-/// SSE4.2 it runs three interleaved crc32q streams over 768-byte blocks
-/// and merges them through a table that advances a CRC over 256 zero
-/// bytes.  Otherwise (older x86 CPUs, aarch64) it runs the portable
-/// kernel, slicing-by-8 table lookup (8 bytes per iteration, tables
-/// generated at first use), which detail::crc32c_portable exposes.  Both
-/// kernels produce identical values; the checksums are a persisted
-/// format, so test_crc32c pins both to the RFC 3720 test vectors and to
-/// each other.
+/// the running CPU supports; the build stays baseline x86-64.  Three
+/// kernels, fastest first:
+///   - vpclmul512 (AVX-512F + VPCLMULQDQ): four 512-bit accumulators
+///     fold 256 bytes per step with carry-less multiplies, two crc32q
+///     reduce the last 128 bits, and a tail under 256 bytes runs on
+///     crc32q;
+///   - sse42 (SSE4.2): three interleaved crc32q streams over 768-byte
+///     blocks, merged through a table that advances a CRC over 256 zero
+///     bytes;
+///   - portable (older x86 CPUs, aarch64): slicing-by-8 table lookup,
+///     8 bytes per iteration, tables generated at first use.
+/// Every kernel produces identical values.  The checksums are a persisted
+/// format, so test_crc32c runs each kernel the CPU supports, listed by
+/// detail::crc32c_kernels, against the RFC 3720 test vectors and a
+/// bitwise reference.
 
 #include <cstdint>
 #include <span>
@@ -43,11 +49,20 @@ namespace pdl::core {
 
 namespace detail {
 
-/// crc32c on the portable slicing-by-8 kernel, whatever the CPU: the
-/// reference the run-time-chosen kernel is tested against.  Same
-/// contract as pdl::core::crc32c.
-[[nodiscard]] std::uint32_t crc32c_portable(
-    std::span<const std::uint8_t> data, std::uint32_t seed = 0) noexcept;
+/// The signature of pdl::core::crc32c.
+using Crc32c = std::uint32_t (*)(std::span<const std::uint8_t> data,
+                                 std::uint32_t seed) noexcept;
+
+/// One CRC32C kernel, with pdl::core::crc32c's contract.
+struct Crc32cKernel {
+  const char* name;  ///< "vpclmul512", "sse42" or "portable"
+  Crc32c crc;
+};
+
+/// The kernels the running CPU supports, fastest first, decided at first
+/// call: the front one is what pdl::core::crc32c runs, and "portable" is
+/// always last.  Tests and benches run each one.
+[[nodiscard]] std::span<const Crc32cKernel> crc32c_kernels() noexcept;
 
 }  // namespace detail
 
