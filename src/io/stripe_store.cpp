@@ -1149,21 +1149,27 @@ Status StripeStore::reset_disk_crcs(DiskId disk) {
   return backend_->write(disk, crc_base_, zeros);
 }
 
-Status StripeStore::stage_steps(Txn& txn,
-                                std::span<const api::RebuildStep> steps) {
+bool StripeStore::step_trusts_torn(const api::RebuildStep& step) const {
   // A step that decodes DATA through parity must refuse torn instances:
   // their parity no longer encodes the on-disk data, so the decode would
   // materialize garbage as if it were the lost unit.  (A step that only
   // re-encodes parity FROM data is safe -- it overwrites, not trusts,
   // the parity bytes.)
+  if (!step_decodes_data(step)) return false;
+  for (std::uint32_t it = 0; it < iterations_; ++it)
+    if (is_torn(step.stripe +
+                static_cast<std::uint64_t>(it) * array_.num_stripes()))
+      return true;
+  return false;
+}
+
+Status StripeStore::stage_steps(Txn& txn,
+                                std::span<const api::RebuildStep> steps) {
   for (const api::RebuildStep& step : steps)
-    if (step_decodes_data(step))
-      for (std::uint32_t it = 0; it < iterations_; ++it)
-        if (is_torn(step.stripe +
-                    static_cast<std::uint64_t>(it) * array_.num_stripes()))
-          return Status::parity_inconsistent(
-              "rebuild step for stripe " + std::to_string(step.stripe) +
-              " would decode data through a parity-torn instance");
+    if (step_trusts_torn(step))
+      return Status::parity_inconsistent(
+          "rebuild step for stripe " + std::to_string(step.stripe) +
+          " would decode data through a parity-torn instance");
 
   // The ENTIRE survivor fan-in -- every survivor of every step and
   // iteration -- is one kRebuild-tagged gather (so a rebuild-
@@ -1280,8 +1286,22 @@ Result<std::uint64_t> StripeStore::rebuild_some(std::uint64_t max_steps,
       auto plan = array_.plan_rebuild();
       if (!plan.ok()) return plan.status();
       if (blocked) *blocked = plan->blocked;
-      if (plan->steps.empty() || applied >= max_steps) return applied;
       steps = std::move(plan->steps);
+      // Steps that would decode data through a torn instance are set
+      // aside, so one torn stripe does not hold back the rest of the
+      // disk.  When they are all that remain, a call that rebuilt
+      // nothing says why; re-planning could never apply them.
+      std::size_t set_aside = 0;
+      if (sync_->torn_count.load(std::memory_order_relaxed) != 0)
+        set_aside = std::erase_if(steps, [this](const api::RebuildStep& step) {
+          return step_trusts_torn(step);
+        });
+      if (steps.empty() && set_aside != 0 && applied == 0)
+        return Status::parity_inconsistent(
+            std::to_string(set_aside) +
+            " rebuild step(s) would decode data through a parity-torn "
+            "instance; nothing else is left to rebuild");
+      if (steps.empty() || applied >= max_steps) return applied;
       epoch = sync_->write_epoch.load(std::memory_order_relaxed);
     }
 
@@ -1337,6 +1357,12 @@ Result<std::uint64_t> StripeStore::rebuild_some(std::uint64_t max_steps,
           staged = stage_steps(txn, batch);
         }
         if (!staged.ok()) {
+          // A write tore one of the chunk's instances after the plan:
+          // re-plan, which sets that step aside.
+          if (staged.code() == StatusCode::kParityInconsistent) {
+            replan = true;
+            break;
+          }
           if (staged.code() != StatusCode::kChecksumMismatch) return staged;
           // A staged survivor failed verification: heal its instances
           // under the exclusive lock (the heal's commit bumps the
@@ -1363,7 +1389,8 @@ Result<std::uint64_t> StripeStore::rebuild_some(std::uint64_t max_steps,
         Status done = apply_steps_locked(batch.first(1));
         if (done.ok())
           ++applied;
-        else if (done.code() != StatusCode::kFailedPrecondition)
+        else if (done.code() != StatusCode::kFailedPrecondition &&
+                 done.code() != StatusCode::kParityInconsistent)
           return done;
         replan = true;
         break;

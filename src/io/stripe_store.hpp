@@ -31,7 +31,8 @@
 /// matches its data.  The store marks the instance TORN and every
 /// parity-trusting operation on it (degraded reads, RMW, rebuild of a
 /// data unit) returns a typed kParityInconsistent Status instead of
-/// serving silently-wrong reconstructions.  A later successful write to
+/// serving silently-wrong reconstructions; rebuild sets such a stripe
+/// aside and rebuilds the rest of the disk.  A later successful write to
 /// the instance (or, with the stripe cache on, a fold of its absorbed
 /// writes) heals it: the store re-encodes every surviving parity from
 /// the full data set and clears the flag.
@@ -291,7 +292,11 @@ class StripeStore {
   /// from survivor bytes into their spare/replacement slots, then
   /// advances the array's rebuild state.  Returns the number of stripes
   /// repaired; 0 means nothing is currently rebuildable (`blocked`, when
-  /// given, receives the count still waiting on replace_disk).  Each
+  /// given, receives the count still waiting on replace_disk).  A stripe
+  /// whose lost data would decode through a parity-torn instance is set
+  /// aside and every other stripe is rebuilt; a call that can rebuild
+  /// nothing because only such stripes are left returns
+  /// kParityInconsistent.  Each
   /// step's survivor fan-in runs under the SHARED state lock --
   /// foreground reads and writes proceed concurrently with rebuild I/O,
   /// competing in the backend's disk queues -- and only the
@@ -493,6 +498,9 @@ class StripeStore {
       std::uint64_t instance,
       std::span<const std::span<const std::uint8_t>> fresh,
       WriteReceipt* receipt);
+  /// Whether a rebuild step decodes data through a parity-torn instance
+  /// of its stripe, which rebuild must set aside.
+  [[nodiscard]] bool step_trusts_torn(const api::RebuildStep& step) const;
   /// Rebuild staging: gathers every survivor of every step (all
   /// iterations) in one kRebuild-tagged transaction and decodes each
   /// target into the transaction's scratch, which must stay alive

@@ -463,5 +463,55 @@ TEST(TornParity, TornInstanceWithLostPeerRefusesRmwRs) {
   run_torn_with_lost_peer_refuses(core::CodecKind::kReedSolomonPQ);
 }
 
+/// A torn instance whose stripe lost a data unit cannot be rebuilt: its
+/// decode would trust the torn parity.  The rest of the failed disk must
+/// still be rebuilt around it.
+void run_torn_stripe_leaves_rest_of_rebuild(core::CodecKind codec) {
+  auto f = torn_victim(codec);
+  ASSERT_TRUE(f.store);
+  StripeStore& s = *f.store;
+  ASSERT_EQ(s.torn_parity_instances(), 1u);
+  const DiskId disk = home_disk(s, kVictim);
+  ASSERT_TRUE(s.fail_disk(disk).ok());
+  ASSERT_TRUE(s.replace_disk(disk).ok());
+
+  // The first pass rebuilds every other stripe and reports how many.
+  // Then the torn stripe's step is all that is left, and every later
+  // call says so rather than applying or re-planning it.
+  const auto first = s.rebuild_some(~0ull);
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  EXPECT_GT(*first, 0u);
+  const auto outcome = s.rebuild();
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kParityInconsistent)
+      << outcome.status().to_string();
+  const auto retry = s.rebuild_some(1);
+  ASSERT_FALSE(retry.ok());
+  EXPECT_EQ(retry.status().code(), StatusCode::kParityInconsistent);
+  EXPECT_EQ(s.torn_parity_instances(), 1u);
+
+  const std::uint32_t torn_stripe = s.array().logical_ref(kVictim).stripe;
+  std::vector<std::uint8_t> expected(s.unit_bytes());
+  std::uint64_t outside = 0;
+  for (std::uint64_t logical = 0; logical < s.num_logical_units();
+       ++logical) {
+    if (s.array().logical_ref(logical).stripe == torn_stripe) continue;
+    canonical_fill(logical, kSeed, expected);
+    expect_read(s, logical, expected, api::ReadPlan::Kind::kDirect,
+                "outside the torn stripe");
+    ++outside;
+  }
+  EXPECT_EQ(outside, s.num_logical_units() -
+                         kIterations * s.array().stripe_data_units(torn_stripe));
+}
+
+TEST(TornParity, TornStripeLeavesRestOfRebuildXor) {
+  run_torn_stripe_leaves_rest_of_rebuild(core::CodecKind::kXorParity);
+}
+
+TEST(TornParity, TornStripeLeavesRestOfRebuildRs) {
+  run_torn_stripe_leaves_rest_of_rebuild(core::CodecKind::kReedSolomonPQ);
+}
+
 }  // namespace
 }  // namespace pdl::io
