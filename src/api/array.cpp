@@ -569,6 +569,9 @@ Result<WritePlan> Array::plan_write(std::uint64_t logical,
     for (const std::uint32_t pp : parities)
       if (is_lost(ref.stripe, pp))
         plan.erased_index[plan.num_erased++] = unit_index_[ref.stripe][pp];
+    plan.kind = WritePlan::Kind::kReconstructWrite;
+    plan.num_peer_reads = count;
+    if (peer_reads.empty()) return plan;  // count the peers, list none
     if (peer_reads.size() < count)
       return Status::invalid_argument(
           "peer span holds " + std::to_string(peer_reads.size()) +
@@ -586,8 +589,6 @@ Result<WritePlan> Array::plan_write(std::uint64_t logical,
       if (!peer_index.empty()) peer_index[i] = unit_index_[ref.stripe][p];
       peer_reads[i++] = {u.disk, lift + u.offset};
     }
-    plan.kind = WritePlan::Kind::kReconstructWrite;
-    plan.num_peer_reads = count;
     return plan;
   }
   // Every parity lost, data intact: the stripe is unprotected; write the

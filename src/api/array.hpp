@@ -162,7 +162,7 @@ struct WritePlan {
   };
   Kind kind = Kind::kReadModifyWrite;  ///< selected strategy
   Physical data;                 ///< data unit (valid unless data lost)
-  std::uint32_t num_peer_reads = 0;  ///< kReconstructWrite: peers in `out`
+  std::uint32_t num_peer_reads = 0;  ///< kReconstructWrite: data peers to read
   // -- codec-seam fields, in the codec's unit-index convention.
   std::uint32_t num_data = 0;    ///< data units in the stripe (k_d)
   std::uint32_t data_index = 0;  ///< codec index of the written unit
@@ -418,7 +418,10 @@ class Array {
   /// data unit folds into the surviving parities via the surviving data
   /// peers (written to `peer_reads`, codec indices to `peer_index` when
   /// non-empty); a stripe with every parity lost leaves an unprotected
-  /// data write.  kInvalidArgument when a span is too small.
+  /// data write.  An empty `peer_reads` counts the peers
+  /// (num_peer_reads) and lists none, for callers that gather the whole
+  /// stripe themselves; `peer_index` is then ignored.  kInvalidArgument
+  /// when a non-empty span is too small.
   [[nodiscard]] Result<WritePlan> plan_write(
       std::uint64_t logical, std::span<Physical> peer_reads,
       std::span<std::uint32_t> peer_index = {}) const;

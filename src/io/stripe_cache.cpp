@@ -17,7 +17,7 @@ namespace {
   return x ^ (x >> 31);
 }
 
-[[nodiscard]] std::uint32_t pow2_at_least(std::uint32_t n) noexcept {
+[[nodiscard]] std::uint32_t pow2_at_least(std::uint64_t n) noexcept {
   std::uint32_t p = 1;
   while (p < n && p < (1u << 30)) p <<= 1;
   return p;
@@ -32,10 +32,15 @@ namespace {
 }  // namespace
 
 StripeCache::StripeCache(const StripeCacheOptions& options,
-                         std::uint32_t unit_bytes)
+                         std::uint32_t unit_bytes, std::uint64_t num_instances)
     : options_(options), unit_bytes_(unit_bytes) {
+  // A column per instance, but none beyond one per note between decays.
+  const std::uint64_t columns =
+      options_.decay_interval > 0
+          ? std::min(num_instances, options_.decay_interval)
+          : num_instances;
   const std::uint32_t width =
-      pow2_at_least(std::max<std::uint32_t>(options_.sketch_width, 16));
+      std::clamp<std::uint32_t>(pow2_at_least(columns), 16, kMaxSketchWidth);
   sketch_mask_ = width - 1;
   sketch_ = std::vector<std::atomic<std::uint32_t>>(
       static_cast<std::size_t>(kSketchRows) * width);

@@ -354,8 +354,9 @@ Result<StripeStore> StripeStore::create(api::Array array,
   store.integrity_ = store.array_.integrity();
   store.crc_base_ = store.disk_bytes();
   if (options.cache.enabled)
-    store.cache_ = std::make_unique<StripeCache>(options.cache,
-                                                 options.unit_bytes);
+    store.cache_ = std::make_unique<StripeCache>(
+        options.cache, options.unit_bytes,
+        std::uint64_t{store.array_.num_stripes()} * options.iterations);
   // Under integrity each disk's media grows by a checksum region: one
   // CRC32C word per physical unit, appended after the data region.  A
   // persistent backend's manifest pins the extended size, so reopening
@@ -549,8 +550,11 @@ Status StripeStore::read_locked(std::span<const std::uint64_t> logicals,
       // Read-your-writes: an absorbed (not yet folded) write's pinned
       // bytes are the unit's current value; media is one fold behind.
       // (Dirty instances are never degraded -- fail_disk flushes the
-      // table first -- so only direct reads check the pins.)
-      if (plan->kind == api::ReadPlan::Kind::kDirect)
+      // table first -- so only direct reads check the pins.)  An entry
+      // is created under its instance's exclusive shard lock, which this
+      // reader holds shared (or read_batch excludes every writer with
+      // the state lock), so an empty table can skip its mutex.
+      if (plan->kind == api::ReadPlan::Kind::kDirect && cache_->any_dirty())
         if (StripeCache::DirtyEntry* entry = cache_->dirty_find(instance))
           if (const StripeCache::DirtyUnit* unit = entry->find(logicals[i])) {
             std::memcpy(out_slice(i).data(), unit->bytes.data(), unit_bytes_);
@@ -730,10 +734,7 @@ Status StripeStore::write(std::uint64_t logical,
 Status StripeStore::write_locked(std::uint64_t logical,
                                  std::span<const std::uint8_t> data,
                                  WriteReceipt* receipt) {
-  // plan_write lists a reconstruct-write's peers here; the re-encode
-  // gathers the whole stripe itself, so they go unread.
-  std::array<Physical, 64> peers;
-  const auto plan = array_.plan_write(logical, peers);
+  const auto plan = array_.plan_write(logical, {});
   if (!plan.ok()) return plan.status();
   if (receipt) {
     receipt->kind = plan->kind;

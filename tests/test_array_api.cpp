@@ -314,6 +314,38 @@ TEST(ArrayState, DegradedWritePlansResolveParityPeers) {
   EXPECT_TRUE(checked_unprotected);
 }
 
+TEST(ArrayState, WritePlanWithoutPeerSpansCountsPeers) {
+  // The fixture above: 13 disks, k = 4, logical 0's data disk failed.
+  auto array_result = Array::create({.num_disks = 13, .stripe_size = 4});
+  ASSERT_TRUE(array_result.ok());
+  Array& array = *array_result;
+  ASSERT_TRUE(array.fail_disk(array.map(0).disk).ok());
+
+  // Empty spans count a reconstruct-write's peers and list none; the
+  // rest of the plan is the listing call's.
+  std::vector<Physical> peers(array.max_stripe_size());
+  std::vector<std::uint32_t> index(array.max_stripe_size());
+  std::uint64_t reconstructs = 0;
+  for (std::uint64_t l = 0; l < array.data_units_per_iteration(); ++l) {
+    const auto listed = array.plan_write(l, peers, index);
+    const auto counted = array.plan_write(l, {});
+    ASSERT_TRUE(listed.ok());
+    ASSERT_TRUE(counted.ok()) << counted.status().to_string();
+    EXPECT_EQ(counted->kind, listed->kind) << "logical " << l;
+    EXPECT_EQ(counted->num_peer_reads, listed->num_peer_reads);
+    ASSERT_EQ(counted->num_parities, listed->num_parities);
+    for (std::uint32_t j = 0; j < listed->num_parities; ++j) {
+      EXPECT_EQ(counted->parity_targets[j], listed->parity_targets[j]);
+      EXPECT_EQ(counted->parity_index[j], listed->parity_index[j]);
+    }
+    ASSERT_EQ(counted->num_erased, listed->num_erased);
+    for (std::uint32_t e = 0; e < listed->num_erased; ++e)
+      EXPECT_EQ(counted->erased_index[e], listed->erased_index[e]);
+    if (listed->kind == WritePlan::Kind::kReconstructWrite) ++reconstructs;
+  }
+  EXPECT_GT(reconstructs, 0u);
+}
+
 TEST(ArrayState, DistributedSparingRebuildsWithoutReplacement) {
   auto array_result =
       Array::create({.num_disks = 17, .stripe_size = 5}, {},

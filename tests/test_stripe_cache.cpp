@@ -20,9 +20,13 @@
 //   * the count-min hotness tracker ranks the true hot set of a seeded
 //     zipfian stream in top-k with bounded error, never undercounts,
 //     and halving decay is monotone non-increasing;
+//   * the sketch is sized from the store's instance count, so uniform
+//     traffic reads cold and fills (almost) nothing, while a skewed
+//     head still reads hot and hits;
 //   * a TSan target racing concurrent readers against writers and
-//     explicit flush_cache() sweeps (run under -fsanitize=thread via
-//     the ctest filter in .github/workflows/ci.yml).
+//     explicit flush_cache() sweeps, with and without decay sweeps
+//     racing the notes (run under -fsanitize=thread via the ctest
+//     filter in .github/workflows/ci.yml).
 
 #include <gtest/gtest.h>
 
@@ -64,7 +68,6 @@ StripeCacheOptions test_cache_options() {
   cache.cache_shards = 4;
   cache.hot_threshold = 2;
   cache.decay_interval = 0;  // no decay: deterministic hotness
-  cache.sketch_width = 4096;  // wide: no collision noise in small tests
   cache.max_dirty_instances = 32;
   cache.max_dirty_units = 4;
   cache.flush_interval_us = 0;  // no time trigger
@@ -116,15 +119,16 @@ std::unique_ptr<DiskBackend> make_case_backend(const Case& c,
   return base;
 }
 
-Result<StripeStore> make_store(const Case& c, const std::string& tag,
-                               bool cached) {
+Result<StripeStore> make_store(
+    const Case& c, const std::string& tag, bool cached,
+    const StripeCacheOptions& cache_options = test_cache_options()) {
   auto array = api::Array::create({kV, kK}, {},
                                   {.codec = c.codec, .integrity = true});
   EXPECT_TRUE(array.ok()) << array.status().to_string();
   if (!array.ok()) return array.status();
   StripeStoreOptions options{.unit_bytes = kUnitBytes,
                              .iterations = kIterations};
-  if (cached) options.cache = test_cache_options();
+  if (cached) options.cache = cache_options;
   return StripeStore::create(std::move(array).value(), options,
                              make_case_backend(c, tag + (cached ? "_c" : "_u")));
 }
@@ -355,13 +359,10 @@ TEST(StripeCache, DegradedReadsThroughCacheAndFailDiskFoldsFirst) {
 // ------------------------------------------------- hotness properties
 
 TEST(StripeCacheHotness, ZipfianStreamRanksTrueHotSetTopK) {
-  StripeCacheOptions options = test_cache_options();
-  options.sketch_width = 2048;
-  StripeCache cache(options, kUnitBytes);
-
   // A seeded zipfian-by-construction stream: instance i drawn with
   // weight 1/(i+1).  The true top-k is 0..k-1 by construction.
   constexpr std::uint64_t kInstances = 512;
+  StripeCache cache(test_cache_options(), kUnitBytes, kInstances);
   constexpr int kDraws = 60000;
   std::mt19937_64 rng(kSeed);
   std::vector<double> weights(kInstances);
@@ -398,7 +399,7 @@ TEST(StripeCacheHotness, ZipfianStreamRanksTrueHotSetTopK) {
 TEST(StripeCacheHotness, DecayIsMonotoneNonIncreasing) {
   StripeCacheOptions options = test_cache_options();
   options.decay_interval = 256;
-  StripeCache cache(options, kUnitBytes);
+  StripeCache cache(options, kUnitBytes, /*num_instances=*/1024);
 
   for (int i = 0; i < 200; ++i) (void)cache.note(1);
   std::uint32_t previous = cache.estimate(1);
@@ -416,11 +417,107 @@ TEST(StripeCacheHotness, DecayIsMonotoneNonIncreasing) {
   EXPECT_LT(previous, 200u) << "decay never landed";
 }
 
+// The instance count of pdl_bench's RS workloads and of the store below:
+// v=17, k=5 has 68 stripes, tiled 204 times.
+constexpr std::uint64_t kBenchInstances = 68 * 204;
+
+TEST(StripeCacheHotness, SketchWidthFollowsInstanceCount) {
+  const StripeCacheOptions defaults;
+  const auto width = [](const StripeCacheOptions& options,
+                        std::uint64_t instances) {
+    return StripeCache(options, kUnitBytes, instances).sketch_width();
+  };
+  // A column per instance, rounded up to a power of two, at least 16...
+  EXPECT_EQ(width(defaults, kBenchInstances), 16384u);
+  EXPECT_EQ(width(defaults, 136), 256u);
+  EXPECT_EQ(width(defaults, 1), 16u);
+  // ...capped at decay_interval rounded up, or the fixed ceiling when
+  // decay is off.
+  EXPECT_EQ(width(defaults, 1'000'000), 16384u);
+  StripeCacheOptions options = defaults;
+  options.decay_interval = 64;
+  EXPECT_EQ(width(options, kBenchInstances), 64u);
+  options.decay_interval = 0;
+  EXPECT_EQ(width(options, 1'000'000), 1u << 20);
+  EXPECT_EQ(width(options, 1ull << 40), 1u << 20);
+}
+
+TEST(StripeCacheHotness, UniformTrafficReadsCold) {
+  const StripeCacheOptions options;  // the shipped knobs
+  StripeCache cache(options, kUnitBytes, kBenchInstances);
+
+  // Uniform notes over every instance for five decay intervals: each
+  // counter collects about one note per interval, so hardly any
+  // instance's estimate reaches hot_threshold.
+  std::mt19937_64 rng(kSeed);
+  const std::uint64_t notes = 5 * options.decay_interval;
+  for (std::uint64_t n = 0; n < notes; ++n)
+    (void)cache.note(rng() % kBenchInstances);
+  ASSERT_GE(cache.stats().decays, 4u);
+  std::uint64_t hot = 0;
+  for (std::uint64_t i = 0; i < kBenchInstances; ++i)
+    if (cache.hot(i)) ++hot;
+  EXPECT_LE(hot, kBenchInstances / 100)
+      << hot << " of " << kBenchInstances << " instances read hot";
+
+  // A seeded zipfian stream over the same instances (weight 1/(i+1), so
+  // the true top 8 is 0..7): its head reads hot.
+  std::vector<double> weights(kBenchInstances);
+  for (std::uint64_t i = 0; i < kBenchInstances; ++i)
+    weights[i] = 1.0 / static_cast<double>(i + 1);
+  std::discrete_distribution<std::uint64_t> draw(weights.begin(),
+                                                 weights.end());
+  for (std::uint64_t n = 0; n < notes; ++n) (void)cache.note(draw(rng));
+  for (std::uint64_t i = 0; i < 8; ++i)
+    EXPECT_TRUE(cache.hot(i)) << "instance " << i;
+}
+
+TEST(StripeCacheHotness, StoreSizesSketchFromItsInstances) {
+  // pdl_bench's RS geometry at 64-byte units with the shipped knobs.
+  auto array = api::Array::create(
+      {kV, kK}, {},
+      {.codec = core::CodecKind::kReedSolomonPQ, .integrity = true});
+  ASSERT_TRUE(array.ok()) << array.status().to_string();
+  StripeStoreOptions options{.unit_bytes = kUnitBytes, .iterations = 204};
+  options.cache.enabled = true;
+  auto store = StripeStore::create(std::move(array).value(), options,
+                                   make_memory_backend());
+  ASSERT_TRUE(store.ok()) << store.status().to_string();
+
+  // Two shuffled passes over every unit (over four decay intervals):
+  // uniform reads are cold, so the read cache is (almost) never filled.
+  const std::uint64_t n = store->num_logical_units();
+  std::vector<std::uint64_t> order(n);
+  for (std::uint64_t logical = 0; logical < n; ++logical)
+    order[logical] = logical;
+  std::mt19937_64 rng(kSeed);
+  std::vector<std::uint8_t> buffer(kUnitBytes);
+  for (int pass = 0; pass < 2; ++pass) {
+    std::shuffle(order.begin(), order.end(), rng);
+    for (const std::uint64_t logical : order)
+      ASSERT_TRUE(store->read(logical, buffer).ok()) << "logical " << logical;
+  }
+  const HotnessStats uniform = store->hotness_stats();
+  ASSERT_GE(uniform.decays, 4u);
+  EXPECT_LE(uniform.fills, 2 * n / 100)
+      << uniform.fills << " fills for " << 2 * n << " uniform reads";
+
+  // Eight units read over and over turn hot and are served from cache.
+  for (int round = 0; round < 32; ++round)
+    for (std::uint64_t u = 0; u < 8; ++u)
+      ASSERT_TRUE(store->read(u * (n / 8), buffer).ok());
+  EXPECT_GT(store->hotness_stats().hits, uniform.hits);
+}
+
 // ------------------------------------------------------- TSan target
 
-TEST(StripeCacheConcurrent, ReadersRaceWritersAndFlushes) {
+/// Three readers, one absorbing writer and one flusher race through one
+/// cached store whose sketch decays every `decay_interval` notes.
+void race_readers_writers_and_flushes(std::uint64_t decay_interval) {
   Case c;  // memory/sync/xor: the race is in the cache layer itself
-  auto made = make_store(c, "race", true);
+  StripeCacheOptions cache = test_cache_options();
+  cache.decay_interval = decay_interval;
+  auto made = make_store(c, "race", true, cache);
   ASSERT_TRUE(made.ok());
   StripeStore& store = made.value();
   const std::uint64_t n = store.num_logical_units();
@@ -464,6 +561,15 @@ TEST(StripeCacheConcurrent, ReadersRaceWritersAndFlushes) {
   const auto sweep = store.verify_stripes();
   ASSERT_TRUE(sweep.ok());
   EXPECT_EQ(*sweep, 0u);
+}
+
+TEST(StripeCacheConcurrent, ReadersRaceWritersAndFlushes) {
+  // Without decay, and with a halving sweep every 64 notes racing the
+  // readers' and the writer's note() calls.
+  for (const std::uint64_t decay_interval : {0, 64}) {
+    SCOPED_TRACE("decay_interval " + std::to_string(decay_interval));
+    race_readers_writers_and_flushes(decay_interval);
+  }
 }
 
 }  // namespace
