@@ -182,8 +182,7 @@ int main(int argc, char** argv) {
   const auto& planner = engine::ConstructionPlanner::default_planner();
   const auto plans = planner.rank_plans({v, k}, {});
   const sim::ScenarioConfig config{
-      .disk = {}, .rebuild_depth = 4, .iterations = 1,
-      .rebuild_delay_ms = 100.0};
+      .disk = {}, .rebuild_depth = 4, .rebuild_delay_ms = 100.0};
 
   std::size_t constructions_run = 0;
   for (const auto& plan : plans) {

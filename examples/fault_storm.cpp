@@ -81,8 +81,7 @@ int main(int argc, char** argv) {
   }
 
   const sim::ScenarioConfig config{
-      .disk = {}, .rebuild_depth = 4, .iterations = 1,
-      .rebuild_delay_ms = 100.0};
+      .disk = {}, .rebuild_depth = 4, .rebuild_delay_ms = 100.0};
   const sim::ScenarioSimulator dedicated(*dedicated_array, config);
   const sim::ScenarioSimulator distributed(*spared_array, config);
   const auto scheduler = sim::make_scheduler(policy);

@@ -74,7 +74,7 @@ using layout::StripeUnit;
   if (!errors.empty())
     return Status::invalid_argument("invalid layout: " + errors.front());
   // The online state machine tracks lost positions in a 64-bit mask per
-  // stripe (like ScenarioSimulator's [2, 64] stripe-size bound).
+  // stripe.
   for (const Stripe& st : layout.stripes()) {
     if (st.units.size() > 64)
       return Status::invalid_argument(
@@ -474,8 +474,8 @@ Result<ReadPlan> Array::locate(std::uint64_t logical,
   }
 
   // Degraded read: the survivor set is every other surviving content
-  // unit of the stripe, at its current (redirect-aware) home -- exactly
-  // the units ScenarioSimulator reads to reconstruct on the fly.  Under
+  // unit of the stripe, at its current (redirect-aware) home -- the units
+  // a reconstruction on the fly reads.  Under
   // a multi-parity codec other units may be lost too; they are excluded
   // here and reported through erased_index for the decode.
   const Stripe& st = layout().stripes()[ref.stripe];
@@ -633,8 +633,7 @@ void Array::mark_lost(std::uint32_t stripe, std::uint32_t pos) {
   lost_mask_[stripe] |= 1ull << pos;
   if (std::popcount(lost_mask_[stripe]) > static_cast<int>(num_parity_)) {
     // One concurrent loss more than the codec tolerates: the stripe is
-    // gone.  Its previously pending unit(s) leave the rebuild queue,
-    // exactly like the simulator dropping jobs for unrecoverable stripes.
+    // gone.  Its previously pending unit(s) leave the rebuild queue.
     unrecoverable_[stripe] = 1;
     ++stripes_lost_;
     const Stripe& st = layout().stripes()[stripe];

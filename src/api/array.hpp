@@ -4,9 +4,8 @@
 // One object owns the whole lifecycle the lower layers expose piecemeal:
 // a cached BuiltLayout from the construction engine, the CompiledMapper
 // serving tables, and the mutable online state of the array (healthy /
-// failed / rebuilding disks, lost units, spare redirections).  Callers that
-// previously hand-wired Engine::build + CompiledMapper + SparedLayout +
-// core::plan_recovery now write:
+// failed / rebuilding disks, lost units, spare redirections).  Instead of
+// hand-wiring Engine::build + CompiledMapper + SparedLayout, callers write:
 //
 //   auto array = pdl::api::Array::create({.num_disks = 17, .stripe_size = 5});
 //   if (!array.ok()) { /* array.status() is a typed pdl::Status */ }
@@ -20,9 +19,9 @@
 // Address ops come in single and span-based batched forms; serving ops
 // (locate / plan_write) resolve degraded reads to the exact survivor
 // unit-set and writes to their parity peers under the current failure
-// state; the failure/rebuild transitions mirror the semantics of
-// sim::ScenarioSimulator (a differential test holds the two to the same
-// survivor sets).  All fallible operations return pdl::Status / Result.
+// state; sim::ScenarioSimulator drives these same failure/rebuild
+// transitions in simulated time.  All fallible operations return
+// pdl::Status / Result.
 //
 // State machine (per disk):
 //
@@ -35,8 +34,7 @@
 // spares.)  Stripe instances that concurrently lose more units than the
 // array's codec tolerates (one under XOR parity, two under Reed-Solomon
 // P+Q) are permanently unrecoverable: reads/writes addressing them
-// return kDataLoss / kUnrecoverable plans and rebuild skips them,
-// exactly like the simulator.
+// return kDataLoss / kUnrecoverable plans and rebuild skips them.
 //
 // Iterations: layouts tile vertically over large disks.  Failure state is
 // tracked per stripe (a disk failure hits every iteration alike);
@@ -45,8 +43,8 @@
 // of the stripe.
 //
 // Stripe sizes are limited to 64 units (lost positions live in one 64-bit
-// mask per stripe, the same bound ScenarioSimulator enforces); larger
-// specs/layouts are rejected with kInvalidArgument.
+// mask per stripe); larger specs/layouts are rejected with
+// kInvalidArgument.
 //
 // Concurrency (external-synchronization contract): Array is a passive
 // value type with no internal locking.  Every const member function is a
@@ -464,8 +462,7 @@ class Array {
   /// The repair schedule for everything currently rebuildable: each lost
   /// unit resolves to its stripe's spare unit (distributed sparing, spare
   /// usable) or its home slot on an attached replacement, with the exact
-  /// survivor reads.  Derived from the same stripe structure as
-  /// core::plan_recovery.
+  /// survivor reads.
   [[nodiscard]] Result<RebuildPlan> plan_rebuild() const;
 
   /// Applies one planned step: marks the unit rebuilt at its target and

@@ -20,7 +20,6 @@
 #include "algebra/product_ring.hpp"
 #include "api/array.hpp"
 #include "core/declustered_array.hpp"
-#include "core/recovery.hpp"
 #include "core/status.hpp"
 #include "core/xor_codec.hpp"
 #include "design/bounds.hpp"
@@ -47,7 +46,6 @@
 #include "layout/serialize.hpp"
 #include "layout/sparing.hpp"
 #include "layout/stairway.hpp"
-#include "sim/array_sim.hpp"
 #include "sim/fault_timeline.hpp"
 #include "sim/rebuild_scheduler.hpp"
 #include "sim/reconstruction.hpp"

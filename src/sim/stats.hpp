@@ -52,4 +52,10 @@ class SampleStats {
   bool sorted_ = false;
 };
 
+/// Latency statistics for user requests.
+struct UserStats {
+  SampleStats read_latency_ms;
+  SampleStats write_latency_ms;
+};
+
 }  // namespace pdl::sim

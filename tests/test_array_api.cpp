@@ -1,9 +1,11 @@
 // pdl::api::Array front-door tests: creation and the typed error model,
 // address ops against the reference mappers, the online failure/rebuild
 // state machine, persistence, and the headline differential suite proving
-// that Array::locate under failures resolves exactly the survivor sets
-// ScenarioSimulator reads (across >= 3 constructions and 1-2 failed
-// disks, in both dedicated-replacement and distributed-sparing modes).
+// that Array::locate under failures resolves exactly the survivor sets a
+// brute-force oracle computes from the layout (across >= 3 constructions
+// and 1-2 failed disks, in both dedicated-replacement and
+// distributed-sparing modes, plus a Reed-Solomon array), with one check
+// that the scenario simulator reads exactly those disks.
 
 #include "api/array.hpp"
 
@@ -13,6 +15,7 @@
 #include <array>
 #include <cstdio>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -518,120 +521,113 @@ TEST(ArrayPersistence, MalformedInputsAreTypedErrors) {
 
 // ---------------------------------------------------- differential suite
 //
-// The satellite contract: Array::locate under failures returns exactly the
-// survivor sets ScenarioSimulator reads.  For every construction that
-// applies at the spec and every failed-disk set, each probed logical is
-// served through a one-request scenario run; the per-disk access counts of
-// that run must equal the multiset of disks in locate()'s resolution
-// (one access for a direct read, one per survivor for a degraded read,
-// none plus an unserved_reads tick for unrecoverable data).
+// Array::locate under failures against an oracle computed by brute force
+// from the layout alone.  A logical's unit is found through the layout's
+// occupancy at its physical home; the stripe's content units are all its
+// units but the spare slot; a survivor is a content unit on a disk that
+// has not failed; and a read of a lost unit is unrecoverable once more
+// than num_parity_units() content units of its stripe are lost.  The sweep
+// runs every logical of every construction the planner ranks at (17, 5),
+// in both sparing modes, under one and two failures, plus RAID5 at (8, 8)
+// and one Reed-Solomon array.  One wiring check then runs the scenario
+// simulator, which serves requests through locate: a one-request run
+// touches exactly the oracle's disks.
 
 struct DiffCase {
   ArraySpec spec;
-  Construction construction;
-  SparingMode sparing;
+  ArrayOptions options;
   std::vector<layout::DiskId> failed;
 };
 
-std::vector<std::uint64_t> probe_logicals(const Array& array,
-                                          const std::vector<layout::DiskId>& failed) {
-  // A mix of units homed on failed disks (degraded / unrecoverable) and
-  // intact ones, capped to keep one-sim-run-per-probe affordable.
-  std::vector<std::uint64_t> lost, intact;
-  for (std::uint64_t l = 0; l < array.data_units_per_iteration(); ++l) {
-    const bool on_failed =
-        std::find(failed.begin(), failed.end(), array.map(l).disk) !=
-        failed.end();
-    (on_failed ? lost : intact).push_back(l);
-  }
-  std::vector<std::uint64_t> probes;
-  for (std::size_t i = 0; i < lost.size() && probes.size() < 6; i += 7)
-    probes.push_back(lost[i]);
-  for (std::size_t i = 0; i < intact.size() && probes.size() < 10; i += 11)
-    probes.push_back(intact[i]);
-  return probes;
+struct OracleRead {
+  ReadPlan::Kind kind = ReadPlan::Kind::kDirect;
+  std::vector<Physical> units;  ///< the target, or the survivors (sorted)
+};
+
+bool physical_less(const Physical& a, const Physical& b) {
+  return a.disk != b.disk ? a.disk < b.disk : a.offset < b.offset;
 }
 
-void run_differential_case(const DiffCase& test_case) {
-  SCOPED_TRACE(core::construction_name(test_case.construction) + " v=" +
-               std::to_string(test_case.spec.num_disks) + " k=" +
-               std::to_string(test_case.spec.stripe_size) + " failures=" +
-               std::to_string(test_case.failed.size()) +
-               (test_case.sparing == SparingMode::kDistributed
-                    ? " (distributed sparing)"
-                    : " (dedicated)"));
-  auto array_result = Array::create(
-      test_case.spec, {},
-      {.sparing = test_case.sparing, .construction = test_case.construction});
-  ASSERT_TRUE(array_result.ok()) << array_result.status().to_string();
-  Array& array = *array_result;
+OracleRead oracle_read(const Array& array, std::uint64_t logical,
+                       const std::vector<layout::DiskId>& failed) {
+  const auto is_failed = [&failed](layout::DiskId disk) {
+    return std::find(failed.begin(), failed.end(), disk) != failed.end();
+  };
+  const Physical home = array.map(logical);
+  const layout::Occupant& occupant =
+      array.layout().at(home.disk, static_cast<std::uint32_t>(home.offset));
+  const layout::Stripe& stripe = array.layout().stripes()[occupant.stripe];
+  const auto& spares = array.spare_positions();
 
-  // The simulator copies the (healthy) array's layout and sparing mode;
-  // it replays the failures itself from its timeline.
-  const sim::ScenarioConfig config{
-      .disk = {}, .rebuild_depth = 1, .iterations = 1,
-      .rebuild_delay_ms = 1e12};  // rebuild never starts: pure degraded
-  const sim::ScenarioSimulator simulator(array, config);
-  ASSERT_EQ(simulator.working_set(), array.data_units_per_iteration());
+  OracleRead read;
+  std::uint32_t lost = 0;
+  for (std::uint32_t p = 0; p < stripe.units.size(); ++p) {
+    if (!spares.empty() && p == spares[occupant.stripe]) continue;
+    const layout::StripeUnit& unit = stripe.units[p];
+    if (is_failed(unit.disk)) {
+      ++lost;
+    } else if (p != occupant.pos) {
+      read.units.push_back({unit.disk, unit.offset});
+    }
+  }
+  if (!is_failed(home.disk)) {
+    read.units = {home};
+  } else if (lost > array.num_parity_units()) {
+    read.kind = ReadPlan::Kind::kUnrecoverable;
+    read.units.clear();
+  } else {
+    read.kind = ReadPlan::Kind::kDegraded;
+    std::sort(read.units.begin(), read.units.end(), physical_less);
+  }
+  return read;
+}
 
-  std::vector<sim::FaultEvent> events;
-  for (std::size_t i = 0; i < test_case.failed.size(); ++i)
-    events.push_back({static_cast<double>(i), test_case.failed[i]});
-  const auto timeline = sim::FaultTimeline::scripted(events);
-  const auto scheduler = sim::make_fifo_scheduler();
+std::string describe(const DiffCase& test_case) {
+  std::string text =
+      (test_case.options.construction
+           ? core::construction_name(*test_case.options.construction)
+           : std::string("planner's choice")) +
+      " v=" + std::to_string(test_case.spec.num_disks) +
+      " k=" + std::to_string(test_case.spec.stripe_size) +
+      " failures=" + std::to_string(test_case.failed.size());
+  if (test_case.options.sparing == SparingMode::kDistributed)
+    text += " (distributed sparing)";
+  if (test_case.options.codec == core::CodecKind::kReedSolomonPQ)
+    text += " (rs)";
+  return text;
+}
 
-  // Baseline run with no user traffic: whatever the scenario itself
-  // accesses (the eventual rebuild) is deterministic in count, so the
-  // per-disk access delta of a one-request run is exactly that request's
-  // survivor reads.
-  const auto baseline = simulator.run(timeline, {}, *scheduler);
-  ASSERT_EQ(baseline.unserved_reads, 0u);
-
+/// Adds a bit per ReadPlan::Kind the oracle produced to `kinds`.
+void run_differential_case(const DiffCase& test_case, unsigned& kinds) {
+  SCOPED_TRACE(describe(test_case));
+  auto array = Array::create(test_case.spec, {}, test_case.options);
+  ASSERT_TRUE(array.ok()) << array.status().to_string();
   for (const layout::DiskId disk : test_case.failed)
-    ASSERT_TRUE(array.fail_disk(disk).ok());
+    ASSERT_TRUE(array->fail_disk(disk).ok());
 
-  std::vector<Physical> survivors(array.max_stripe_size());
-  for (const std::uint64_t logical : probe_logicals(array, test_case.failed)) {
-    SCOPED_TRACE("logical " + std::to_string(logical));
-    const auto read = array.locate(logical, survivors);
+  std::vector<Physical> survivors(array->max_stripe_size());
+  for (std::uint64_t l = 0; l < array->data_units_per_iteration(); ++l) {
+    SCOPED_TRACE("logical " + std::to_string(l));
+    const OracleRead want = oracle_read(*array, l, test_case.failed);
+    kinds |= 1u << static_cast<unsigned>(want.kind);
+    const auto read = array->locate(l, survivors);
     ASSERT_TRUE(read.ok()) << read.status().to_string();
-
-    // One read request, after both failures have landed (the enormous
-    // rebuild delay keeps the array purely degraded at that point).
-    const sim::Request request{.arrival_ms = 100.0, .logical = logical,
-                               .is_write = false};
-    const auto result =
-        simulator.run(timeline, std::span(&request, 1), *scheduler);
-    std::vector<std::uint64_t> accessed(array.num_disks(), 0);
-    for (std::uint32_t d = 0; d < array.num_disks(); ++d) {
-      ASSERT_GE(result.disk_accesses[d], baseline.disk_accesses[d]);
-      accessed[d] = result.disk_accesses[d] - baseline.disk_accesses[d];
+    ASSERT_EQ(read->kind, want.kind);
+    std::vector<Physical> got;
+    if (read->kind == ReadPlan::Kind::kDirect) got = {read->target};
+    if (read->kind == ReadPlan::Kind::kDegraded) {
+      got.assign(survivors.begin(), survivors.begin() + read->num_survivors);
+      std::sort(got.begin(), got.end(), physical_less);
     }
-
-    std::vector<std::uint64_t> expected(array.num_disks(), 0);
-    switch (read->kind) {
-      case ReadPlan::Kind::kDirect:
-        expected[read->target.disk] = 1;
-        EXPECT_EQ(result.unserved_reads, 0u);
-        break;
-      case ReadPlan::Kind::kDegraded:
-        for (std::uint32_t i = 0; i < read->num_survivors; ++i)
-          ++expected[survivors[i].disk];
-        EXPECT_EQ(result.unserved_reads, 0u);
-        break;
-      case ReadPlan::Kind::kUnrecoverable:
-        EXPECT_EQ(result.unserved_reads, 1u);
-        break;
-    }
-    EXPECT_EQ(accessed, expected);
+    EXPECT_EQ(got, want.units);
   }
 }
 
-TEST(ArrayDifferential, LocateMatchesScenarioSimulatorSurvivorSets) {
+TEST(ArrayDifferential, LocateMatchesOracleSurvivorSets) {
   // Every construction the planner ranks at (17, 5) -- ring layout,
   // removal, stairway, and the BIBD routes when the catalog provides one
   // -- plus RAID5 at (8, 8), under one and two failures, both sparing
-  // modes.
+  // modes; and Reed-Solomon P+Q at (17, 5) losing a third disk.
   std::vector<DiffCase> cases;
   const ArraySpec spec{.num_disks = 17, .stripe_size = 5};
   std::size_t constructions = 0;
@@ -640,16 +636,58 @@ TEST(ArrayDifferential, LocateMatchesScenarioSimulatorSurvivorSets) {
     ++constructions;
     for (const SparingMode sparing :
          {SparingMode::kNone, SparingMode::kDistributed}) {
-      cases.push_back({spec, plan.construction, sparing, {0}});
-      cases.push_back({spec, plan.construction, sparing, {0, 8}});
+      const ArrayOptions options{.sparing = sparing,
+                                 .construction = plan.construction};
+      cases.push_back({spec, options, {0}});
+      cases.push_back({spec, options, {0, 8}});
     }
   }
   EXPECT_GE(constructions, 3u) << "the sweep must cover >= 3 constructions";
   cases.push_back({{.num_disks = 8, .stripe_size = 8},
-                   Construction::kRaid5,
-                   SparingMode::kNone,
+                   {.construction = Construction::kRaid5},
                    {2}});
-  for (const DiffCase& test_case : cases) run_differential_case(test_case);
+  cases.push_back(
+      {spec, {.codec = core::CodecKind::kReedSolomonPQ}, {0, 8, 2}});
+
+  unsigned kinds = 0;
+  for (const DiffCase& test_case : cases)
+    run_differential_case(test_case, kinds);
+  EXPECT_EQ(kinds, 0b111u) << "direct, degraded and unrecoverable reads";
+}
+
+TEST(ArrayDifferential, ScenarioReadTouchesTheOracleDisks) {
+  // The wiring check: a read served by the scenario simulator, after two
+  // failures whose rebuilds never start, accesses one disk per unit the
+  // oracle names (none for unrecoverable data, which is counted unserved).
+  auto array = Array::create({.num_disks = 17, .stripe_size = 5});
+  ASSERT_TRUE(array.ok());
+  const std::vector<layout::DiskId> failed = {0, 8};
+  const sim::ScenarioSimulator simulator(
+      *array, {.disk = {}, .rebuild_depth = 1, .rebuild_delay_ms = 1e12});
+  const auto timeline = sim::FaultTimeline::scripted({{0.0, 0}, {1.0, 8}});
+  const auto scheduler = sim::make_fifo_scheduler();
+
+  unsigned kinds = 0;
+  for (std::uint64_t l = 0; l < array->data_units_per_iteration(); l += 7) {
+    SCOPED_TRACE("logical " + std::to_string(l));
+    const OracleRead want = oracle_read(*array, l, failed);
+    kinds |= 1u << static_cast<unsigned>(want.kind);
+    const sim::Request request{.arrival_ms = 100.0, .logical = l,
+                               .is_write = false};
+    const auto result =
+        simulator.run(timeline, std::span(&request, 1), *scheduler);
+    std::vector<std::uint64_t> accessed(array->num_disks(), 0);
+    std::vector<std::uint64_t> expected(array->num_disks(), 0);
+    for (std::uint32_t d = 0; d < array->num_disks(); ++d)
+      accessed[d] = result.disk_accesses[d] -
+                    result.rebuild_reads_per_disk[d] -
+                    result.rebuild_writes_per_disk[d];
+    for (const Physical& unit : want.units) ++expected[unit.disk];
+    EXPECT_EQ(accessed, expected);
+    EXPECT_EQ(result.unserved_reads,
+              want.kind == ReadPlan::Kind::kUnrecoverable ? 1u : 0u);
+  }
+  EXPECT_EQ(kinds, 0b111u) << "direct, degraded and unrecoverable reads";
 }
 
 // After rebuilding into distributed spares, reads follow the redirects --

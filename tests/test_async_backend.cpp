@@ -12,12 +12,9 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -28,19 +25,10 @@
 #include "api/array.hpp"
 #include "io/stripe_store.hpp"
 #include "io/workload_driver.hpp"
+#include "scratch_dir.hpp"
 
 namespace pdl::io {
 namespace {
-
-std::filesystem::path fresh_dir(const std::string& tag) {
-  const auto dir =
-      std::filesystem::temp_directory_path() /
-      ("pdl_async_test_" +
-       std::to_string(static_cast<unsigned long>(::getpid()))) /
-      tag;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
 
 std::vector<std::uint8_t> pattern(std::size_t size, std::uint8_t base) {
   std::vector<std::uint8_t> bytes(size);
@@ -119,9 +107,9 @@ TEST(AsyncBackend, BatchedMatchesSequentialOverMemory) {
 }
 
 TEST(AsyncBackend, BatchedMatchesSequentialOverFile) {
-  const auto dir = fresh_dir("differential");
+  const tests::ScratchDir dir("pdl_async_test_differential");
   auto backend = make_async_backend(
-      make_file_backend({.directory = dir.string()}));
+      make_file_backend({.directory = dir.path().string()}));
   ASSERT_TRUE(backend->open({3, 8192}).ok());
   run_differential(*backend, 3, 8192);
   // The engine decision is observable and one of the two known values.
@@ -498,8 +486,8 @@ TEST(AsyncBackend, ConcurrentDriverRunStaysCanonical) {
 // ----------------------------------------------------- FileBackend direct
 
 TEST(FileBackendDirect, RoundTripsWithGracefulFallback) {
-  const auto dir = fresh_dir("direct");
-  FileBackend backend({.directory = dir.string(), .direct_io = true});
+  const tests::ScratchDir dir("pdl_async_test_direct");
+  FileBackend backend({.directory = dir.path().string(), .direct_io = true});
   ASSERT_TRUE(backend.open({2, 64 * 4096}).ok());
 
   // Whatever the filesystem decided about O_DIRECT (tmpfs refuses,
@@ -535,13 +523,13 @@ TEST(FileBackendDirect, AsyncOverDirectFileServesStore) {
   // The full PR-6 stack: StripeStore -> AsyncDiskBackend -> FileBackend
   // (direct I/O requested) with 4096-byte units, through a failure and
   // rebuild cycle.
-  const auto dir = fresh_dir("direct_store");
+  const tests::ScratchDir dir("pdl_async_test_direct_store");
   auto array = api::Array::create({.num_disks = 17, .stripe_size = 5});
   ASSERT_TRUE(array.ok());
   auto store = StripeStore::create(
       std::move(array).value(), {.unit_bytes = 4096, .iterations = 1},
       make_async_backend(
-          make_file_backend({.directory = dir.string(), .direct_io = true})));
+          make_file_backend({.directory = dir.path().string(), .direct_io = true})));
   ASSERT_TRUE(store.ok());
 
   const std::uint64_t kSeed = 99;

@@ -15,8 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
 #include <cstdint>
@@ -31,6 +29,7 @@
 #include "io/disk_backend.hpp"
 #include "io/stripe_store.hpp"
 #include "io/workload_driver.hpp"
+#include "scratch_dir.hpp"
 
 namespace pdl::io {
 namespace {
@@ -59,22 +58,12 @@ struct Case {
   std::vector<layout::DiskId> failures;
   BackendKind backend = BackendKind::kMemory;
   core::CodecKind codec = core::CodecKind::kXorParity;
+  std::filesystem::path dir = {};  ///< a file-backed case's disk images
 };
-
-/// Scratch directory for one file-backed case, unique per process.
-std::filesystem::path case_scratch_dir(const Case& c) {
-  return std::filesystem::temp_directory_path() /
-         ("pdl_datapath_diff_" +
-          std::to_string(static_cast<unsigned long>(::getpid()))) /
-         (core::construction_name(c.construction) + "_" +
-          std::string(core::codec_kind_name(c.codec)) + "_" +
-          (c.sparing == api::SparingMode::kDistributed ? "d" : "n") + "_" +
-          std::to_string(c.failures.size()));
-}
 
 std::unique_ptr<io::DiskBackend> make_case_backend(const Case& c) {
   if (c.backend == BackendKind::kFile)
-    return make_file_backend({.directory = case_scratch_dir(c).string()});
+    return make_file_backend({.directory = c.dir.string()});
   return make_memory_backend();
 }
 
@@ -267,14 +256,12 @@ void run_case(const Case& c) {
   }
 }
 
-/// run_case plus scratch-directory cleanup for file-backed cases.
-void run_case_cleanup(Case c, BackendKind backend) {
+/// run_case over `backend`, in a scratch directory removed when it ends.
+void run_case_on(Case c, BackendKind backend) {
+  const tests::ScratchDir scratch("pdl_datapath_diff");
   c.backend = backend;
+  c.dir = scratch.path();
   run_case(c);
-  if (backend == BackendKind::kFile) {
-    std::error_code ec;
-    std::filesystem::remove_all(case_scratch_dir(c), ec);
-  }
 }
 
 TEST(DatapathDifferential, AtLeastFourConstructionsApply) {
@@ -295,7 +282,7 @@ void run_full_matrix(BackendKind backend, core::CodecKind codec) {
         c.codec = codec;
         if (failures >= 1) c.failures.push_back(0);
         if (failures >= 2) c.failures.push_back(kV / 2);
-        run_case_cleanup(c, backend);
+        run_case_on(c, backend);
         if (::testing::Test::HasFatalFailure()) return;
       }
     }
@@ -327,14 +314,6 @@ TEST(DatapathDifferential, ReedSolomonMatrixOverFileBackend) {
 
 // ------------------------------------------------- integrity rot matrix
 
-std::filesystem::path rot_scratch_dir(bool async, core::CodecKind codec) {
-  return std::filesystem::temp_directory_path() /
-         ("pdl_datapath_rot_" +
-          std::to_string(static_cast<unsigned long>(::getpid()))) /
-         (std::string(core::codec_kind_name(codec)) +
-          (async ? "_async" : "_sync"));
-}
-
 /// Seeded single-bit rot on a HEALTHY integrity-enabled store: every
 /// corrupted unit must be detected on read (counted as a CRC mismatch),
 /// served canonically anyway (reconstructed through the codec), and
@@ -357,10 +336,10 @@ void run_rot_case(BackendKind backend_kind, bool async,
        .integrity = true});
   ASSERT_TRUE(array.ok()) << context << ": " << array.status().to_string();
 
-  const std::filesystem::path scratch = rot_scratch_dir(async, codec);
+  const tests::ScratchDir scratch("pdl_datapath_rot");
   std::unique_ptr<io::DiskBackend> base =
       backend_kind == BackendKind::kFile
-          ? make_file_backend({.directory = scratch.string()})
+          ? make_file_backend({.directory = scratch.path().string()})
           : make_memory_backend();
   // The decorator hides the substrate's memory views, so every unit
   // crosses the streamed read path where rot applies and is CRC-checked.
@@ -437,11 +416,6 @@ void run_rot_case(BackendKind backend_kind, bool async,
     EXPECT_EQ((*after)[d], (*oracle)[d])
         << context << ": disk " << d
         << " not checksum-identical after heal";
-
-  if (backend_kind == BackendKind::kFile) {
-    std::error_code ec;
-    std::filesystem::remove_all(scratch, ec);
-  }
 }
 
 /// The rot detect/heal matrix over sync/async submission and both

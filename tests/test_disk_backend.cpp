@@ -9,10 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -21,19 +18,10 @@
 #include "api/array.hpp"
 #include "io/stripe_store.hpp"
 #include "io/workload_driver.hpp"
+#include "scratch_dir.hpp"
 
 namespace pdl::io {
 namespace {
-
-std::filesystem::path fresh_dir(const std::string& tag) {
-  const auto dir =
-      std::filesystem::temp_directory_path() /
-      ("pdl_backend_test_" +
-       std::to_string(static_cast<unsigned long>(::getpid()))) /
-      tag;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
 
 std::vector<std::uint8_t> pattern(std::size_t size, std::uint8_t base) {
   std::vector<std::uint8_t> bytes(size);
@@ -88,10 +76,10 @@ TEST(MemoryBackend, RangeChecksAreTyped) {
 // ------------------------------------------------------------------- file
 
 TEST(FileBackend, PersistsAcrossCloseAndReopen) {
-  const auto dir = fresh_dir("persist");
+  const tests::ScratchDir dir("pdl_backend_test_persist");
   const auto data = pattern(128, 7);
   {
-    FileBackend backend({.directory = dir.string()});
+    FileBackend backend({.directory = dir.path().string()});
     ASSERT_TRUE(backend.open({.num_disks = 2, .disk_bytes = 512}).ok());
     EXPECT_EQ(backend.name(), "file");
     EXPECT_TRUE(backend.memory_view(0).empty());  // no zero-copy for files
@@ -99,7 +87,7 @@ TEST(FileBackend, PersistsAcrossCloseAndReopen) {
     ASSERT_TRUE(backend.sync(1).ok());
   }  // closed
   {
-    FileBackend backend({.directory = dir.string()});
+    FileBackend backend({.directory = dir.path().string()});
     ASSERT_TRUE(backend.open({.num_disks = 2, .disk_bytes = 512}).ok());
     std::vector<std::uint8_t> out(128);
     ASSERT_TRUE(backend.read(1, 300, out).ok());
@@ -108,18 +96,17 @@ TEST(FileBackend, PersistsAcrossCloseAndReopen) {
     ASSERT_TRUE(backend.read(0, 0, out).ok());
     for (const auto b : out) EXPECT_EQ(b, 0);
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(FileBackend, RefusesGeometryMismatchOnReopen) {
-  const auto dir = fresh_dir("mismatch");
+  const tests::ScratchDir dir("pdl_backend_test_mismatch");
   {
-    FileBackend backend({.directory = dir.string()});
+    FileBackend backend({.directory = dir.path().string()});
     ASSERT_TRUE(backend.open({.num_disks = 2, .disk_bytes = 512}).ok());
   }
   {
     // Different disk_bytes: refused.
-    FileBackend backend({.directory = dir.string()});
+    FileBackend backend({.directory = dir.path().string()});
     const Status opened = backend.open({.num_disks = 2, .disk_bytes = 1024});
     EXPECT_EQ(opened.code(), StatusCode::kFailedPrecondition);
   }
@@ -127,28 +114,26 @@ TEST(FileBackend, RefusesGeometryMismatchOnReopen) {
     // Same disk_bytes but different disk count: image sizes alone could
     // not catch this (O_CREAT would add fresh zero disks); the geometry
     // manifest must.
-    FileBackend backend({.directory = dir.string()});
+    FileBackend backend({.directory = dir.path().string()});
     const Status opened = backend.open({.num_disks = 3, .disk_bytes = 512});
     EXPECT_EQ(opened.code(), StatusCode::kFailedPrecondition);
   }
   {
     // The matching geometry still reopens fine.
-    FileBackend backend({.directory = dir.string()});
+    FileBackend backend({.directory = dir.path().string()});
     EXPECT_TRUE(backend.open({.num_disks = 2, .disk_bytes = 512}).ok());
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(FileBackend, DiscardFillsWholeImage) {
-  const auto dir = fresh_dir("discard");
-  FileBackend backend({.directory = dir.string()});
+  const tests::ScratchDir dir("pdl_backend_test_discard");
+  FileBackend backend({.directory = dir.path().string()});
   ASSERT_TRUE(backend.open({.num_disks = 1, .disk_bytes = 3000}).ok());
   ASSERT_TRUE(backend.write(0, 0, pattern(256, 3)).ok());
   ASSERT_TRUE(backend.discard(0, 0xDD).ok());
   std::vector<std::uint8_t> out(3000);
   ASSERT_TRUE(backend.read(0, 0, out).ok());
   for (const auto b : out) ASSERT_EQ(b, 0xDD);
-  std::filesystem::remove_all(dir);
 }
 
 /// The satellite acceptance scenario: write through a file-backed store,
@@ -156,7 +141,7 @@ TEST(FileBackend, DiscardFillsWholeImage) {
 /// disk -- degraded reads and a rebuild must reproduce the first
 /// process's bytes exactly.
 TEST(FileBackend, StoreReopenDegradedReadAndRebuildRoundTrip) {
-  const auto dir = fresh_dir("store_roundtrip");
+  const tests::ScratchDir dir("pdl_backend_test_store_roundtrip");
   constexpr std::uint64_t kSeed = 0xFADE;
   constexpr DiskId kVictim = 4;
   const StripeStoreOptions store_options{.unit_bytes = 96, .iterations = 2};
@@ -172,7 +157,7 @@ TEST(FileBackend, StoreReopenDegradedReadAndRebuildRoundTrip) {
     ASSERT_TRUE(array.ok());
     auto store = StripeStore::create(
         std::move(array).value(), store_options,
-        make_file_backend({.directory = dir.string()}));
+        make_file_backend({.directory = dir.path().string()}));
     ASSERT_TRUE(store.ok()) << store.status().to_string();
     num_units = store->num_logical_units();
     ASSERT_TRUE(fill_canonical(*store, 0, num_units, kSeed).ok());
@@ -186,7 +171,7 @@ TEST(FileBackend, StoreReopenDegradedReadAndRebuildRoundTrip) {
   ASSERT_TRUE(array.ok());
   auto store = StripeStore::create(
       std::move(array).value(), store_options,
-      make_file_backend({.directory = dir.string()}));
+      make_file_backend({.directory = dir.path().string()}));
   ASSERT_TRUE(store.ok()) << store.status().to_string();
   ASSERT_EQ(store->num_logical_units(), num_units);
 
@@ -220,7 +205,6 @@ TEST(FileBackend, StoreReopenDegradedReadAndRebuildRoundTrip) {
   EXPECT_EQ(*rebuilt, victim_checksum);
   EXPECT_TRUE(store->array().healthy());
 
-  std::filesystem::remove_all(dir);
 }
 
 // -------------------------------------------------------- fault injection
@@ -457,9 +441,8 @@ TEST(DiskBackendStore, OpenFailurePropagates) {
   ASSERT_TRUE(array.ok());
   // A file backend pointed at an unusable path (a path *under* an
   // existing file cannot be created as a directory).
-  const auto dir = fresh_dir("open_fail");
-  std::filesystem::create_directories(dir);
-  const auto blocker = dir / "blocker";
+  const tests::ScratchDir dir("pdl_backend_test_open_fail");
+  const auto blocker = dir.path() / "blocker";
   {
     std::vector<std::uint8_t> byte{0};
     FILE* f = std::fopen(blocker.string().c_str(), "wb");
@@ -472,7 +455,6 @@ TEST(DiskBackendStore, OpenFailurePropagates) {
       make_file_backend({.directory = (blocker / "nested").string()}));
   ASSERT_FALSE(store.ok());
   EXPECT_EQ(store.status().code(), StatusCode::kIoError);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

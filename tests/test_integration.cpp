@@ -14,7 +14,7 @@ namespace {
 
 TEST(Integration, EndToEndDataRecovery) {
   // Build a declustered array, write synthetic data through the mapper,
-  // fail a disk, and recover every lost unit via the recovery plan.
+  // fail a disk, and recover every lost unit via the rebuild plan.
   const auto array = api::Array::create({.num_disks = 13, .stripe_size = 4});
   ASSERT_TRUE(array.ok()) << array.status().to_string();
   const layout::Layout& l = array->layout();
@@ -46,61 +46,76 @@ TEST(Integration, EndToEndDataRecovery) {
         core::xor_parity(data);
   }
 
-  // Fail disk 5; recover every unit from the plan.
+  // Fail disk 5, attach its replacement, and recover every unit from the
+  // rebuild plan.
   const layout::DiskId failed = 5;
-  const auto plan = core::plan_recovery(l, failed);
-  ASSERT_EQ(plan.repairs.size(), l.units_per_disk());
-  for (const auto& repair : plan.repairs) {
+  api::Array state = *array;
+  ASSERT_TRUE(state.fail_disk(failed).ok());
+  ASSERT_TRUE(state.replace_disk(failed).ok());
+  const auto plan = state.plan_rebuild();
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan->steps.size(), l.units_per_disk());
+  for (const api::RebuildStep& step : plan->steps) {
     std::vector<std::vector<std::uint8_t>> survivors;
-    for (const auto& read : repair.reads) {
+    for (const auto& read : step.reads) {
       survivors.push_back(storage.at({read.disk, read.offset}));
     }
     const auto recovered = core::xor_reconstruct(survivors);
-    EXPECT_EQ(recovered, storage.at({repair.lost.disk, repair.lost.offset}))
-        << "stripe " << repair.stripe;
+    EXPECT_EQ(step.target.disk, failed);
+    EXPECT_EQ(recovered, storage.at({step.target.disk, step.target.offset}))
+        << "stripe " << step.stripe;
   }
 }
 
 TEST(Integration, MapperAndSimulatorAgreeOnWorkingSet) {
   const auto array = api::Array::create({.num_disks = 16, .stripe_size = 4});
   ASSERT_TRUE(array.ok());
-  const sim::ArraySimulator simulator(
-      array->layout(), sim::ArrayConfig{.disk = {}, .rebuild_depth = 2,
-                                        .iterations = 3});
-  EXPECT_EQ(simulator.working_set(),
-            3 * array->data_units_per_iteration());
+  const sim::ScenarioSimulator simulator(*array, {});
+  EXPECT_EQ(simulator.working_set(), array->data_units_per_iteration());
 }
 
 TEST(Integration, RebuildSimulationMatchesRecoveryPlanReadCounts) {
   const auto array = api::Array::create({.num_disks = 9, .stripe_size = 3});
   ASSERT_TRUE(array.ok());
   const layout::DiskId failed = 7;
-  const sim::ArraySimulator simulator(
-      array->layout(),
-      sim::ArrayConfig{.disk = {}, .rebuild_depth = 4, .iterations = 1});
-  const auto rebuild = simulator.run_rebuild({}, failed);
-  const auto plan = core::plan_recovery(array->layout(), failed);
+  const sim::ScenarioSimulator simulator(
+      *array, sim::ScenarioConfig{.disk = {}, .rebuild_depth = 4});
+  const auto rebuild =
+      simulator.run(sim::FaultTimeline::scripted({{0.0, failed}}), {},
+                    *sim::make_fifo_scheduler());
+  api::Array state = *array;
+  ASSERT_TRUE(state.fail_disk(failed).ok());
+  ASSERT_TRUE(state.replace_disk(failed).ok());
+  const auto plan = state.plan_rebuild();
+  ASSERT_TRUE(plan.ok());
+  const auto analysis =
+      sim::analyze_reconstruction(array->layout(), failed);
   for (layout::DiskId d = 0; d < 9; ++d) {
-    EXPECT_EQ(rebuild.rebuild_reads_per_disk[d],
-              plan.analysis.units_to_read[d]);
+    EXPECT_EQ(rebuild.rebuild_reads_per_disk[d], plan->reads_per_disk[d]);
+    EXPECT_EQ(plan->reads_per_disk[d], analysis.units_to_read[d]);
   }
 }
 
 TEST(Integration, DeclusteredBeatsRaid5OnRebuildAcrossSizes) {
   // The paper's headline shape: at equal array size, smaller k rebuilds
-  // faster (reads less of each survivor).
+  // faster (reads less of each survivor).  Both rebuild into distributed
+  // spares, so no replacement disk's write queue bounds either.
+  const auto fail_disk0 = sim::FaultTimeline::scripted({{0.0, 0}});
+  const auto fifo = sim::make_fifo_scheduler();
+  const sim::ScenarioConfig config{.disk = {}, .rebuild_depth = 4};
   for (const std::uint32_t v : {8u, 13u}) {
-    const auto declustered =
-        api::Array::create({.num_disks = v, .stripe_size = 3});
+    const auto declustered = api::Array::create(
+        {.num_disks = v, .stripe_size = 3}, {},
+        {.sparing = api::SparingMode::kDistributed});
     ASSERT_TRUE(declustered.ok());
-    const auto raid5 = layout::raid5_layout(
-        v, declustered->units_per_disk());
-    const sim::ArrayConfig config{
-        .disk = {}, .rebuild_depth = 4, .iterations = 1};
-    const auto d =
-        sim::ArraySimulator(declustered->layout(), config).run_rebuild({}, 0);
-    const auto r = sim::ArraySimulator(raid5, config).run_rebuild({}, 0);
-    EXPECT_LT(d.rebuild_ms, r.rebuild_ms) << "v=" << v;
+    const auto raid5 = api::Array::adopt_spared(layout::add_distributed_sparing(
+        layout::raid5_layout(v, declustered->units_per_disk())));
+    ASSERT_TRUE(raid5.ok());
+    const auto d = sim::ScenarioSimulator(*declustered, config)
+                       .run(fail_disk0, {}, *fifo);
+    const auto r =
+        sim::ScenarioSimulator(*raid5, config).run(fail_disk0, {}, *fifo);
+    EXPECT_LT(d.rebuilds.at(0).end_ms, r.rebuilds.at(0).end_ms) << "v=" << v;
   }
 }
 

@@ -103,11 +103,37 @@ TEST_P(LayoutFamily, ReconstructionMatrixRowSumsMatchStripeSizes) {
 }
 
 TEST_P(LayoutFamily, RecoveryPlanIsConsistentWithAnalysis) {
+  // Fail disk 0, attach its replacement, and plan the rebuild: one step
+  // per lost unit, none reading the failed disk, and per-disk reads equal
+  // to the offline reconstruction analysis.
   const Layout& l = family().layout;
-  const auto plan = core::plan_recovery(l, 0);
+  auto array = api::Array::adopt(l);
+  ASSERT_TRUE(array.ok()) << family().name;
+  ASSERT_TRUE(array->fail_disk(0).ok());
+  ASSERT_TRUE(array->replace_disk(0).ok());
+  const auto plan = array->plan_rebuild();
+  ASSERT_TRUE(plan.ok());
+  const auto analysis = sim::analyze_reconstruction(l, 0);
+
+  ASSERT_EQ(plan->steps.size(), l.units_per_disk()) << family().name;
+  std::vector<bool> offset_seen(l.units_per_disk(), false);
   std::uint64_t total = 0;
-  for (const auto& repair : plan.repairs) total += repair.reads.size();
-  EXPECT_EQ(total, plan.analysis.total_units) << family().name;
+  for (const api::RebuildStep& step : plan->steps) {
+    ASSERT_LT(step.stripe, l.num_stripes());
+    const layout::Stripe& st = l.stripes()[step.stripe];
+    // The step rebuilds the stripe's unit on disk 0, in place.
+    EXPECT_EQ(st.units[step.lost_pos].disk, 0u) << family().name;
+    EXPECT_EQ(step.target.disk, 0u) << family().name;
+    EXPECT_EQ(step.target.offset, st.units[step.lost_pos].offset);
+    EXPECT_FALSE(offset_seen[step.target.offset]) << family().name;
+    offset_seen[step.target.offset] = true;
+    // Reads are the stripe's other units, none on the failed disk.
+    EXPECT_EQ(step.reads.size() + 1, st.units.size()) << family().name;
+    for (const auto& read : step.reads) EXPECT_NE(read.disk, 0u);
+    total += step.reads.size();
+  }
+  EXPECT_EQ(total, analysis.total_units) << family().name;
+  EXPECT_EQ(plan->reads_per_disk, analysis.units_to_read) << family().name;
 }
 
 TEST_P(LayoutFamily, SerializationRoundTrip) {

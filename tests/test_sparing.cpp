@@ -5,7 +5,10 @@
 #include "flow/parity_assign.hpp"
 #include "layout/raid.hpp"
 #include "layout/ring_layout.hpp"
-#include "sim/array_sim.hpp"
+#include "api/array.hpp"
+#include "sim/fault_timeline.hpp"
+#include "sim/rebuild_scheduler.hpp"
+#include "sim/scenario.hpp"
 
 namespace pdl::layout {
 namespace {
@@ -74,51 +77,51 @@ TEST(Sparing, RejectsTinyStripes) {
   EXPECT_THROW(add_distributed_sparing(l), std::invalid_argument);
 }
 
+/// One failure of `failed` at t = 0 over the spared layout, no user load.
+sim::ScenarioResult rebuild_into_spares(const SparedLayout& spared,
+                                        DiskId failed,
+                                        std::uint32_t depth) {
+  const sim::ScenarioSimulator simulator(
+      api::Array::adopt_spared(spared).value(),
+      sim::ScenarioConfig{.disk = {}, .rebuild_depth = depth});
+  return simulator.run(sim::FaultTimeline::scripted({{0.0, failed}}), {},
+                       *sim::make_fifo_scheduler());
+}
+
 TEST(Sparing, SimulatedDistributedRebuildCompletes) {
-  const auto base = ring_based_layout(9, 4);
-  const auto spared = add_distributed_sparing(base);
-  const sim::ArraySimulator simulator(
-      base, sim::ArrayConfig{.disk = {}, .rebuild_depth = 4,
-                             .iterations = 1});
-  const auto result =
-      simulator.run_rebuild_distributed({}, 0, spared.spare_pos);
-  EXPECT_GT(result.stripes_rebuilt, 0u);
-  EXPECT_GT(result.rebuild_ms, 0.0);
+  const auto spared = add_distributed_sparing(ring_based_layout(9, 4));
+  const auto result = rebuild_into_spares(spared, 0, 4);
+  ASSERT_EQ(result.rebuilds.size(), 1u);
+  EXPECT_GT(result.rebuilds[0].stripes_rebuilt, 0u);
+  EXPECT_GT(result.rebuilds[0].end_ms, 0.0);
   // Reads never touch the failed disk; counts match stripes * (k-2).
   EXPECT_EQ(result.rebuild_reads_per_disk[0], 0u);
   std::uint64_t reads = 0;
   for (const auto r : result.rebuild_reads_per_disk) reads += r;
-  EXPECT_EQ(reads, result.stripes_rebuilt * (4 - 2));
+  EXPECT_EQ(reads, result.rebuilds[0].stripes_rebuilt * (4 - 2));
 }
 
 TEST(Sparing, DistributedRebuildSkipsSpareOnlyLosses) {
-  const auto base = ring_based_layout(8, 4);
-  const auto spared = add_distributed_sparing(base);
-  const sim::ArraySimulator simulator(
-      base, sim::ArrayConfig{.disk = {}, .rebuild_depth = 2,
-                             .iterations = 1});
-  const auto result =
-      simulator.run_rebuild_distributed({}, 3, spared.spare_pos);
+  const auto spared = add_distributed_sparing(ring_based_layout(8, 4));
+  const auto result = rebuild_into_spares(spared, 3, 2);
   // Stripes whose unit on disk 3 was the spare need no rebuild: jobs <
   // stripes crossing disk 3 (= r = k(v-1) = 28) whenever disk 3 holds
   // spares.
   const auto spares = spared.spares_per_disk();
-  EXPECT_EQ(result.stripes_rebuilt, 4u * 7u - spares[3]);
+  ASSERT_EQ(result.rebuilds.size(), 1u);
+  EXPECT_EQ(result.rebuilds[0].stripes_rebuilt, 4u * 7u - spares[3]);
 }
 
 TEST(Sparing, InvalidSparePositionsRejected) {
   const auto base = ring_based_layout(8, 3);
-  const sim::ArraySimulator simulator(
-      base, sim::ArrayConfig{.disk = {}, .rebuild_depth = 2,
-                             .iterations = 1});
   std::vector<std::uint32_t> bad(base.num_stripes(), 0);
   // Position 0 is the parity position for ring layouts (parity = disk x at
-  // tuple position 0), so this must be rejected.
-  EXPECT_THROW(simulator.run_rebuild_distributed({}, 0, bad),
-               std::invalid_argument);
+  // tuple position 0), so no array (and so no simulator) takes this map.
+  EXPECT_EQ(api::Array::adopt_spared({base, bad}).status().code(),
+            StatusCode::kInvalidArgument);
   std::vector<std::uint32_t> short_vec(3, 1);
-  EXPECT_THROW(simulator.run_rebuild_distributed({}, 0, short_vec),
-               std::invalid_argument);
+  EXPECT_EQ(api::Array::adopt_spared({base, short_vec}).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -30,8 +30,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -48,6 +46,7 @@
 #include "io/stripe_cache.hpp"
 #include "io/stripe_store.hpp"
 #include "io/workload_driver.hpp"
+#include "scratch_dir.hpp"
 
 namespace pdl::io {
 namespace {
@@ -100,18 +99,20 @@ std::vector<Case> all_cases() {
   return cases;
 }
 
+/// Where file-backed cases keep their disk images: one directory for the
+/// whole test binary, removed when it exits.
+const std::filesystem::path& file_case_root() {
+  static const tests::ScratchDir root("pdl_stripe_cache");
+  return root.path();
+}
+
 std::unique_ptr<DiskBackend> make_case_backend(const Case& c,
                                                const std::string& tag) {
   std::unique_ptr<DiskBackend> base;
   if (c.backend == BackendKind::kFile) {
     std::string name = tag + "_" + describe(c);
     std::replace(name.begin(), name.end(), '/', '_');
-    base = make_file_backend(
-        {.directory = (std::filesystem::temp_directory_path() /
-                       ("pdl_stripe_cache_" +
-                        std::to_string(static_cast<unsigned long>(::getpid())) +
-                        "_" + name))
-                          .string()});
+    base = make_file_backend({.directory = (file_case_root() / name).string()});
   } else {
     base = make_memory_backend();
   }
