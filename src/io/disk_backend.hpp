@@ -9,11 +9,13 @@
 /// coordinates and never sees vectors, file descriptors, or sockets.
 /// Three implementations ship in-tree:
 ///
-///   * MemoryBackend         -- one heap buffer per disk; exposes
-///                              zero-copy views, so the store's gathers
-///                              (reads, degraded decodes, small-write
-///                              pre-images, rebuild survivors) copy
-///                              nothing;
+///   * MemoryBackend         -- one anonymous mapping holding every
+///                              disk, pre-faulted at open (on huge
+///                              pages where the kernel gives them);
+///                              exposes zero-copy views, so the store's
+///                              gathers (reads, degraded decodes,
+///                              small-write pre-images, rebuild
+///                              survivors) copy nothing;
 ///   * FileBackend           -- one file per disk driven with
 ///                              pread/pwrite, surviving close + reopen
 ///                              (contents persist, parity-consistent);
@@ -21,8 +23,8 @@
 ///                              transient I/O errors, and per-op latency
 ///                              to any inner backend.
 ///
-/// Future substrates (mmap, sharded-over-sockets, object stores) plug in
-/// here without touching the layout or parity layers.
+/// Future substrates (file-backed mappings, sharded-over-sockets, object
+/// stores) plug in here without touching the layout or parity layers.
 ///
 /// ## Contract
 ///
@@ -46,6 +48,7 @@
 /// failed write leaves the addressed range in an unspecified state but
 /// must not corrupt other ranges.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -269,13 +272,33 @@ class DiskBackend {
 
 // ---------------------------------------------------------------- memory
 
-/// Heap-resident substrate: one zero-initialized buffer per disk.
+/// RAM-resident substrate: one anonymous mmap holds every disk, and a
+/// disk of at least kHugePageBytes starts on a kHugePageBytes boundary
+/// (smaller disks on a page boundary).  open() leaves every disk
+/// resident and zero: on Linux it advises each disk that can hold a
+/// huge page MADV_HUGEPAGE and pre-faults each disk's bytes in the
+/// kernel with MADV_POPULATE_WRITE; where that call fails (Linux before
+/// 5.14, other systems) it writes one byte of each page itself.  So no
+/// user-space pass zero-fills the array, and traffic never takes a
+/// first-touch fault.  Each disk is followed by at least one page that
+/// holds no disk bytes and is never advised or faulted; ASan builds
+/// poison it, so an access just past a disk's view is reported.
+///
 /// Exposes memory_view, so StripeStore's gathers read straight out of
-/// the buffers with no copy; its commits arrive as write() calls, which
-/// cannot fail in range (the memory_view contract).  Not persistent.
+/// the disks with no copy; its commits arrive as write() calls, which
+/// cannot fail in range (the memory_view contract).  Not persistent,
+/// and not copyable: the destructor (or a second open()) releases the
+/// whole mapping with one munmap.
 class MemoryBackend final : public DiskBackend {
  public:
+  /// Alignment of a disk that can hold a transparent huge page.
+  static constexpr std::uint64_t kHugePageBytes = std::uint64_t{2} << 20;
+
   MemoryBackend() = default;
+  ~MemoryBackend() override;
+
+  MemoryBackend(const MemoryBackend&) = delete;
+  MemoryBackend& operator=(const MemoryBackend&) = delete;
 
   [[nodiscard]] Status open(const BackendGeometry& geometry) override;
   [[nodiscard]] Status read(DiskId disk, std::uint64_t offset,
@@ -294,9 +317,18 @@ class MemoryBackend final : public DiskBackend {
   /// Range-checks one access; kInvalidArgument with context on failure.
   [[nodiscard]] Status check(DiskId disk, std::uint64_t offset,
                              std::uint64_t size) const;
+  /// First byte of `disk` (unchecked).
+  [[nodiscard]] std::uint8_t* bytes(DiskId disk) const noexcept {
+    return disks_ + disk * stride_;
+  }
+  /// Releases the mapping (no-op before open()).
+  void unmap() noexcept;
 
   BackendGeometry geometry_;
-  std::vector<std::vector<std::uint8_t>> disks_;
+  void* mapping_ = nullptr;        ///< the one mmap, alignment slack included
+  std::size_t mapping_bytes_ = 0;
+  std::uint8_t* disks_ = nullptr;  ///< disk 0's first byte
+  std::size_t stride_ = 0;         ///< disk d starts at disks_ + d * stride_
 };
 
 // ------------------------------------------------------------------ file
