@@ -250,10 +250,9 @@ bool run_one(const engine::LayoutPlan& plan, api::SparingMode sparing,
       std::string(core::codec_kind_name(config.codec)).c_str(), healthy.mbps,
       degraded.mbps, rebuilding.mbps, rebuild_mbps, bench::okbad(verified));
 
-  // schema_version 6: added the "integrity" field (PR 9; v5 added write
-  // p50/p99 latency in PR 8; v4 codec / failed_disks in PR 7; v3 the
-  // async engine fields in PR 6; v2 "backend" in PR 5).
-  bench::json_result("datapath_throughput", /*schema_version=*/6)
+  // schema_version 7: latency in nanoseconds (docs/BENCHMARKS.md keeps
+  // the history of every record's fields).
+  bench::json_result("datapath_throughput", /*schema_version=*/7)
       .field("construction", core::construction_name(plan.construction))
       .field("sparing", mode)
       .field("backend", backend_kind)
@@ -265,12 +264,12 @@ bool run_one(const engine::LayoutPlan& plan, api::SparingMode sparing,
       .field("scheduler", config.async ? config.scheduler : "none")
       .field("queue_depth", static_cast<std::uint64_t>(config.queue_depth))
       .field("achieved_depth", healthy.stats.achieved_depth())
-      .field("read_p99_us", static_cast<std::uint64_t>(
-                                healthy.stats.read_latency_quantile_us(0.99)))
-      .field("write_p50_us", static_cast<std::uint64_t>(
-                                 healthy.stats.write_latency_quantile_us(0.50)))
-      .field("write_p99_us", static_cast<std::uint64_t>(
-                                 healthy.stats.write_latency_quantile_us(0.99)))
+      .field("read_p99_ns", static_cast<std::uint64_t>(
+                                healthy.stats.read_latency_quantile_ns(0.99)))
+      .field("write_p50_ns", static_cast<std::uint64_t>(
+                                 healthy.stats.write_latency_quantile_ns(0.50)))
+      .field("write_p99_ns", static_cast<std::uint64_t>(
+                                 healthy.stats.write_latency_quantile_ns(0.99)))
       .field("v", static_cast<std::uint64_t>(plan.spec.num_disks))
       .field("k", static_cast<std::uint64_t>(plan.spec.stripe_size))
       .field("units_per_disk", static_cast<std::uint64_t>(plan.units_per_disk))
@@ -325,19 +324,19 @@ bool run_depth_sweep(const engine::LayoutPlan& plan,
     ok = ok && verified;
     std::printf(
         "async depth %-11s qd %2u  %8.1f MB/s  achieved %4.1f  "
-        "p99 %6u us  %s\n",
+        "p99 %9u ns  %s\n",
         backend_kind.c_str(), depth, phase.mbps,
         phase.stats.achieved_depth(),
-        phase.stats.read_latency_quantile_us(0.99), bench::okbad(verified));
-    bench::json_result("datapath_async_depth")
+        phase.stats.read_latency_quantile_ns(0.99), bench::okbad(verified));
+    bench::json_result("datapath_async_depth", /*schema_version=*/2)
         .field("backend", backend_kind)
         .field("engine", engine)
         .field("scheduler", config.scheduler)
         .field("queue_depth", static_cast<std::uint64_t>(depth))
         .field("achieved_depth", phase.stats.achieved_depth())
         .field("mbps", phase.mbps)
-        .field("read_p99_us", static_cast<std::uint64_t>(
-                                  phase.stats.read_latency_quantile_us(0.99)))
+        .field("read_p99_ns", static_cast<std::uint64_t>(
+                                  phase.stats.read_latency_quantile_ns(0.99)))
         .field("verified", verified)
         .emit();
   }
@@ -412,21 +411,21 @@ bool run_scheduler_compare(const engine::LayoutPlan& plan,
         rebuilding.stats.errors == 0 && rebuilding.stats.verify_failures == 0;
     ok = ok && verified;
     std::printf(
-        "async rebuild %-22s %8.1f MB/s  p50 %6u us  p99 %6u us  %s\n",
+        "async rebuild %-22s %8.1f MB/s  p50 %9u ns  p99 %9u ns  %s\n",
         scheduler, rebuilding.mbps,
-        rebuilding.stats.read_latency_quantile_us(0.50),
-        rebuilding.stats.read_latency_quantile_us(0.99),
+        rebuilding.stats.read_latency_quantile_ns(0.50),
+        rebuilding.stats.read_latency_quantile_ns(0.99),
         bench::okbad(verified));
-    bench::json_result("datapath_async_rebuild")
+    bench::json_result("datapath_async_rebuild", /*schema_version=*/2)
         .field("backend", backend_kind)
         .field("scheduler", scheduler)
         .field("mbps", rebuilding.mbps)
-        .field("read_p50_us",
+        .field("read_p50_ns",
                static_cast<std::uint64_t>(
-                   rebuilding.stats.read_latency_quantile_us(0.50)))
-        .field("read_p99_us",
+                   rebuilding.stats.read_latency_quantile_ns(0.50)))
+        .field("read_p99_ns",
                static_cast<std::uint64_t>(
-                   rebuilding.stats.read_latency_quantile_us(0.99)))
+                   rebuilding.stats.read_latency_quantile_ns(0.99)))
         .field("stripes_rebuilt", stripes_rebuilt)
         .field("verified", verified)
         .emit();
@@ -647,7 +646,7 @@ bool run_cache_compare(const engine::LayoutPlan& plan,
       cached_stats.mb_per_second(), uncached_stats.mb_per_second(),
       bench::okbad(cache_ok));
 
-  bench::json_result("datapath_cache")
+  bench::json_result("datapath_cache", /*schema_version=*/2)
       .field("backend", backend_kind)
       .field("codec", std::string(core::codec_kind_name(config.codec)))
       .field("async", config.async)
@@ -665,12 +664,12 @@ bool run_cache_compare(const engine::LayoutPlan& plan,
       .field("hotness_decays", hotness.decays)
       .field("cached_mb_per_s", cached_stats.mb_per_second())
       .field("uncached_mb_per_s", uncached_stats.mb_per_second())
-      .field("cached_write_p99_us",
+      .field("cached_write_p99_ns",
              static_cast<std::uint64_t>(
-                 cached_stats.write_latency_quantile_us(0.99)))
-      .field("uncached_write_p99_us",
+                 cached_stats.write_latency_quantile_ns(0.99)))
+      .field("uncached_write_p99_ns",
              static_cast<std::uint64_t>(
-                 uncached_stats.write_latency_quantile_us(0.99)))
+                 uncached_stats.write_latency_quantile_ns(0.99)))
       .field("cached_faster", cached_faster)
       .field("checksum_identical", checksum_identical)
       .field("cache_ok", cache_ok)

@@ -194,8 +194,8 @@ bool run_policy(fleet::GovernorPolicy policy, const BenchConfig& config,
 
   const std::uint64_t mismatches = verify_all(fleet, seed);
   out.fg_mbps = foreground.mbps;
-  out.read_p99_us = foreground.stats.read_latency_quantile_us(0.99);
-  out.write_p99_us = foreground.stats.write_latency_quantile_us(0.99);
+  out.read_p99_us = foreground.stats.read_latency_quantile_ns(0.99) / 1000;
+  out.write_p99_us = foreground.stats.write_latency_quantile_ns(0.99) / 1000;
   out.stripes_rebuilt = stripes.load(std::memory_order_relaxed);
   out.rebuild_mbps =
       phase_seconds > 0
@@ -332,8 +332,8 @@ int main(int argc, char** argv) {
         "healthy     %-22s fg %8.1f MB/s  read p99 %6u us  write p99 %6u us"
         "  %s\n",
         "(3 shards, no failures)", healthy.mbps,
-        healthy.stats.read_latency_quantile_us(0.99),
-        healthy.stats.write_latency_quantile_us(0.99),
+        healthy.stats.read_latency_quantile_ns(0.99) / 1000,
+        healthy.stats.write_latency_quantile_ns(0.99) / 1000,
         bench::okbad(verified));
     bench::json_result("fleet_throughput", /*schema_version=*/1)
         .field("phase", "healthy")
@@ -346,10 +346,10 @@ int main(int argc, char** argv) {
         .field("fg_mbps", healthy.mbps)
         .field("read_p99_us",
                static_cast<std::uint64_t>(
-                   healthy.stats.read_latency_quantile_us(0.99)))
+                   healthy.stats.read_latency_quantile_ns(0.99) / 1000))
         .field("write_p99_us",
                static_cast<std::uint64_t>(
-                   healthy.stats.write_latency_quantile_us(0.99)))
+                   healthy.stats.write_latency_quantile_ns(0.99) / 1000))
         .field("rebuild_mbps", 0.0)
         .field("stripes_rebuilt", std::uint64_t{0})
         .field("rebuild_completed", true)

@@ -64,18 +64,18 @@ void WorkloadStats::merge(const WorkloadStats& other) {
   bytes_moved += other.bytes_moved;
   read_batches += other.read_batches;
   batched_reads += other.batched_reads;
-  read_latency_us.insert(read_latency_us.end(), other.read_latency_us.begin(),
-                         other.read_latency_us.end());
-  write_latency_us.insert(write_latency_us.end(),
-                          other.write_latency_us.begin(),
-                          other.write_latency_us.end());
+  read_latency_ns.insert(read_latency_ns.end(), other.read_latency_ns.begin(),
+                         other.read_latency_ns.end());
+  write_latency_ns.insert(write_latency_ns.end(),
+                          other.write_latency_ns.begin(),
+                          other.write_latency_ns.end());
   // elapsed_seconds is wall time of the whole run; the caller sets it
   // once rather than summing per-thread times.
 }
 
 namespace {
 
-[[nodiscard]] std::uint32_t latency_quantile_us(
+[[nodiscard]] std::uint32_t latency_quantile(
     const std::vector<std::uint32_t>& samples, double p) {
   // Nearest-rank convention: the p-quantile of n samples is the
   // ceil(p*n)-th smallest (1-based), clamped into [1, n].  The previous
@@ -96,12 +96,17 @@ namespace {
 
 }  // namespace
 
-std::uint32_t WorkloadStats::read_latency_quantile_us(double p) const {
-  return latency_quantile_us(read_latency_us, p);
+std::uint32_t WorkloadStats::read_latency_quantile_ns(double p) const {
+  return latency_quantile(read_latency_ns, p);
 }
 
-std::uint32_t WorkloadStats::write_latency_quantile_us(double p) const {
-  return latency_quantile_us(write_latency_us, p);
+std::uint32_t WorkloadStats::write_latency_quantile_ns(double p) const {
+  return latency_quantile(write_latency_ns, p);
+}
+
+std::uint32_t latency_sample_ns(std::chrono::nanoseconds elapsed) noexcept {
+  return static_cast<std::uint32_t>(std::clamp<std::chrono::nanoseconds::rep>(
+      elapsed.count(), 0, std::numeric_limits<std::uint32_t>::max()));
 }
 
 void canonical_fill(std::uint64_t logical, std::uint64_t seed,
@@ -232,21 +237,17 @@ void WorkloadDriver::worker(std::uint32_t thread_index,
   std::uint64_t cursor = (n / options_.num_threads) * thread_index;
 
   using clock = std::chrono::steady_clock;
-  const auto elapsed_us = [](clock::time_point since) {
-    return static_cast<std::uint32_t>(std::min<std::int64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(clock::now() -
-                                                              since)
-            .count(),
-        std::numeric_limits<std::int64_t>::max()));
+  const auto elapsed_ns = [](clock::time_point since) {
+    return latency_sample_ns(clock::now() - since);
   };
   const auto tally_read = [&](std::uint64_t block, const Status& status,
                               const ReadReceipt& receipt,
                               std::span<const std::uint8_t> bytes,
-                              std::uint32_t latency_us) {
+                              std::uint32_t latency_ns) {
     if (status.ok()) {
       ++stats.reads;
       stats.bytes_moved += block_bytes;
-      stats.read_latency_us.push_back(latency_us);
+      stats.read_latency_ns.push_back(latency_ns);
       if (receipt.kind == api::ReadPlan::Kind::kDegraded)
         ++stats.degraded_reads;
       else
@@ -295,7 +296,7 @@ void WorkloadDriver::worker(std::uint32_t thread_index,
       if (status.ok()) {
         ++stats.writes;
         stats.bytes_moved += block_bytes;
-        stats.write_latency_us.push_back(elapsed_us(write_started));
+        stats.write_latency_ns.push_back(elapsed_ns(write_started));
         switch (receipt.kind) {
           case api::WritePlan::Kind::kReadModifyWrite:
             ++stats.rmw_writes;
@@ -331,7 +332,7 @@ void WorkloadDriver::worker(std::uint32_t thread_index,
           {read_receipts.data(), num_reads});
       // Batched reads complete together: the submission's wall time is
       // each op's caller-visible latency.
-      const std::uint32_t latency = elapsed_us(started);
+      const std::uint32_t latency = elapsed_ns(started);
       ++stats.read_batches;
       stats.batched_reads += num_reads;
       for (std::uint32_t i = 0; i < num_reads; ++i)
@@ -346,7 +347,7 @@ void WorkloadDriver::worker(std::uint32_t thread_index,
         const auto started = clock::now();
         const Status status = target_.read(read_addrs[i], buffer, &receipt);
         tally_read(read_addrs[i], status, receipt, buffer,
-                   elapsed_us(started));
+                   elapsed_ns(started));
       }
     }
     remaining -= batch_size;

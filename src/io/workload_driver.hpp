@@ -19,6 +19,7 @@
 // images, a fault-injecting decorator), and backend kIoError statuses
 // are tallied under `errors` rather than aborting the run.
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -70,13 +71,15 @@ struct WorkloadStats {
   std::uint64_t read_batches = 0;    ///< batched read submissions issued
   std::uint64_t batched_reads = 0;   ///< reads carried by those submissions
   /// Caller-visible completion latency of every successful read, in
-  /// microseconds (batched reads share their submission's wall time --
-  /// that IS what the caller waited).  merge() concatenates.
-  std::vector<std::uint32_t> read_latency_us;
+  /// nanoseconds (batched reads share their submission's wall time --
+  /// that IS what the caller waited), as latency_sample_ns records it.
+  /// merge() concatenates.
+  std::vector<std::uint32_t> read_latency_ns;
   /// Caller-visible completion latency of every successful write, in
-  /// microseconds (the full parity transaction -- RMW fan-in included --
-  /// is what the caller waited).  merge() concatenates.
-  std::vector<std::uint32_t> write_latency_us;
+  /// nanoseconds (the full parity transaction -- RMW fan-in included --
+  /// is what the caller waited), as latency_sample_ns records it.
+  /// merge() concatenates.
+  std::vector<std::uint32_t> write_latency_ns;
   double elapsed_seconds = 0;
 
   [[nodiscard]] double mb_per_second() const noexcept {
@@ -92,14 +95,20 @@ struct WorkloadStats {
                                   static_cast<double>(read_batches)
                             : 1.0;
   }
-  /// The p-quantile (0 <= p <= 1) of read_latency_us, or 0 with no
+  /// The p-quantile (0 <= p <= 1) of read_latency_ns, or 0 with no
   /// samples.  p = 0.99 is the foreground-p99 the benches report.
-  [[nodiscard]] std::uint32_t read_latency_quantile_us(double p) const;
-  /// The p-quantile (0 <= p <= 1) of write_latency_us, or 0 with no
+  [[nodiscard]] std::uint32_t read_latency_quantile_ns(double p) const;
+  /// The p-quantile (0 <= p <= 1) of write_latency_ns, or 0 with no
   /// samples.
-  [[nodiscard]] std::uint32_t write_latency_quantile_us(double p) const;
+  [[nodiscard]] std::uint32_t write_latency_quantile_ns(double p) const;
   void merge(const WorkloadStats& other);
 };
+
+/// One latency sample: `elapsed` in whole nanoseconds, clamped into the
+/// sample type, so an op slower than about 4.29 s reads as the type's
+/// maximum instead of wrapping to a small value.
+[[nodiscard]] std::uint32_t latency_sample_ns(
+    std::chrono::nanoseconds elapsed) noexcept;
 
 /// The storage a WorkloadDriver reads and writes: a flat space of
 /// num_blocks() blocks, each block_bytes() wide, with StripeStore's

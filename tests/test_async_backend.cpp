@@ -480,7 +480,7 @@ TEST(AsyncBackend, ConcurrentDriverRunStaysCanonical) {
   // The driver detected the async backend and issued deep batches.
   EXPECT_GT(stats.read_batches, 0u);
   EXPECT_GT(stats.achieved_depth(), 1.0);
-  EXPECT_EQ(stats.read_latency_us.size(), stats.reads);
+  EXPECT_EQ(stats.read_latency_ns.size(), stats.reads);
 }
 
 // ----------------------------------------------------- FileBackend direct

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -113,23 +115,23 @@ namespace {
 /// must not matter -- the quantile sorts internally).
 WorkloadStats stats_with(std::vector<std::uint32_t> samples) {
   WorkloadStats stats;
-  stats.read_latency_us = samples;
+  stats.read_latency_ns = samples;
   // Mirror into the write vector reversed: both accessors share the
   // nearest-rank helper and must agree on every pin below.
-  stats.write_latency_us.assign(samples.rbegin(), samples.rend());
+  stats.write_latency_ns.assign(samples.rbegin(), samples.rend());
   return stats;
 }
 
 TEST(WorkloadQuantile, EmptyAndSingleSample) {
   const WorkloadStats empty;
-  EXPECT_EQ(empty.read_latency_quantile_us(0.0), 0u);
-  EXPECT_EQ(empty.read_latency_quantile_us(0.99), 0u);
-  EXPECT_EQ(empty.write_latency_quantile_us(1.0), 0u);
+  EXPECT_EQ(empty.read_latency_quantile_ns(0.0), 0u);
+  EXPECT_EQ(empty.read_latency_quantile_ns(0.99), 0u);
+  EXPECT_EQ(empty.write_latency_quantile_ns(1.0), 0u);
 
   const WorkloadStats one = stats_with({7});
   for (const double p : {0.0, 0.01, 0.5, 0.99, 1.0}) {
-    EXPECT_EQ(one.read_latency_quantile_us(p), 7u) << "p=" << p;
-    EXPECT_EQ(one.write_latency_quantile_us(p), 7u) << "p=" << p;
+    EXPECT_EQ(one.read_latency_quantile_ns(p), 7u) << "p=" << p;
+    EXPECT_EQ(one.write_latency_quantile_ns(p), 7u) << "p=" << p;
   }
 }
 
@@ -139,23 +141,38 @@ TEST(WorkloadQuantile, NearestRankPins) {
   for (std::uint32_t v = 100; v >= 1; --v) samples.push_back(v);
   const WorkloadStats stats = stats_with(samples);
 
-  EXPECT_EQ(stats.read_latency_quantile_us(0.0), 1u);    // min
-  EXPECT_EQ(stats.read_latency_quantile_us(0.01), 1u);   // ceil(1) = 1st
-  EXPECT_EQ(stats.read_latency_quantile_us(0.50), 50u);  // ceil(50) = 50th
-  EXPECT_EQ(stats.read_latency_quantile_us(0.99), 99u);  // 99th, NOT 100th
-  EXPECT_EQ(stats.read_latency_quantile_us(0.995), 100u);  // ceil(99.5)
-  EXPECT_EQ(stats.read_latency_quantile_us(1.0), 100u);  // max
-  EXPECT_EQ(stats.write_latency_quantile_us(0.99), 99u);
+  EXPECT_EQ(stats.read_latency_quantile_ns(0.0), 1u);    // min
+  EXPECT_EQ(stats.read_latency_quantile_ns(0.01), 1u);   // ceil(1) = 1st
+  EXPECT_EQ(stats.read_latency_quantile_ns(0.50), 50u);  // ceil(50) = 50th
+  EXPECT_EQ(stats.read_latency_quantile_ns(0.99), 99u);  // 99th, NOT 100th
+  EXPECT_EQ(stats.read_latency_quantile_ns(0.995), 100u);  // ceil(99.5)
+  EXPECT_EQ(stats.read_latency_quantile_ns(1.0), 100u);  // max
+  EXPECT_EQ(stats.write_latency_quantile_ns(0.99), 99u);
 }
 
 TEST(WorkloadQuantile, FractionalRanksRoundUpAndClampOutOfRange) {
   const WorkloadStats three = stats_with({10, 20, 30});
-  EXPECT_EQ(three.read_latency_quantile_us(0.33), 10u);  // ceil(0.99) = 1st
-  EXPECT_EQ(three.read_latency_quantile_us(0.34), 20u);  // ceil(1.02) = 2nd
-  EXPECT_EQ(three.read_latency_quantile_us(0.67), 30u);  // ceil(2.01) = 3rd
+  EXPECT_EQ(three.read_latency_quantile_ns(0.33), 10u);  // ceil(0.99) = 1st
+  EXPECT_EQ(three.read_latency_quantile_ns(0.34), 20u);  // ceil(1.02) = 2nd
+  EXPECT_EQ(three.read_latency_quantile_ns(0.67), 30u);  // ceil(2.01) = 3rd
   // Out-of-range p clamps rather than indexing out of bounds.
-  EXPECT_EQ(three.read_latency_quantile_us(-0.5), 10u);
-  EXPECT_EQ(three.read_latency_quantile_us(2.0), 30u);
+  EXPECT_EQ(three.read_latency_quantile_ns(-0.5), 10u);
+  EXPECT_EQ(three.read_latency_quantile_ns(2.0), 30u);
+}
+
+// A sample is whole nanoseconds clamped into its 32-bit type: an op past
+// 2^32 ns (about 4.29 s) reads as the maximum, never as the small value
+// a plain cast would wrap it to.
+TEST(WorkloadQuantile, LatencySampleClampsInsteadOfWrapping) {
+  using std::chrono::nanoseconds;
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_EQ(latency_sample_ns(nanoseconds{0}), 0u);
+  EXPECT_EQ(latency_sample_ns(nanoseconds{1234}), 1234u);
+  EXPECT_EQ(latency_sample_ns(nanoseconds{kMax}), kMax);
+  EXPECT_EQ(latency_sample_ns(nanoseconds{std::int64_t{kMax} + 1}), kMax);
+  EXPECT_EQ(latency_sample_ns(std::chrono::seconds{5}), kMax);
+  EXPECT_EQ(latency_sample_ns(std::chrono::hours{24 * 365}), kMax);
+  EXPECT_EQ(latency_sample_ns(nanoseconds{-5}), 0u);
 }
 
 // The zipfian harmonic normalizer is computed ONCE per (n, theta) by the
