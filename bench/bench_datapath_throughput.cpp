@@ -18,11 +18,11 @@
 // live under a per-process temp directory, removed as each run finishes.
 //
 // --async routes every store through io::AsyncDiskBackend (per-disk
-// queues, coalescing, the --scheduler dispatch policy, io_uring when
-// available) and appends two async-only experiments after the matrix:
-// a queue-depth scaling curve (datapath_async_depth records, depths
-// 1/2/4/8) and a fifo vs rebuild-deprioritizing foreground-latency
-// comparison under concurrent rebuild (datapath_async_rebuild records).
+// queues and workers, coalescing, the --scheduler dispatch policy) and
+// appends two async-only experiments after the matrix: a queue-depth
+// scaling curve (datapath_async_depth records, depths 1/2/4/8) and a
+// fifo vs rebuild-deprioritizing foreground-latency comparison under
+// concurrent rebuild (datapath_async_rebuild records).
 //
 // --codec rs runs every cell over the GF(2^8) Reed-Solomon P+Q codec;
 // the degraded phase then fails TWO disks at once (double-degraded
@@ -98,14 +98,6 @@ std::unique_ptr<io::DiskBackend> make_backend(
     backend = io::make_async_backend(std::move(backend),
                                      {.scheduler = config.scheduler});
   return backend;
-}
-
-/// "sync" for a plain backend, else the async engine actually running
-/// ("io_uring" / "thread-pool").
-std::string engine_name(io::StripeStore& store) {
-  if (auto* async = dynamic_cast<io::AsyncDiskBackend*>(&store.backend()))
-    return std::string(async->engine());
-  return "sync";
 }
 
 struct PhaseResult {
@@ -250,9 +242,8 @@ bool run_one(const engine::LayoutPlan& plan, api::SparingMode sparing,
       std::string(core::codec_kind_name(config.codec)).c_str(), healthy.mbps,
       degraded.mbps, rebuilding.mbps, rebuild_mbps, bench::okbad(verified));
 
-  // schema_version 7: latency in nanoseconds (docs/BENCHMARKS.md keeps
-  // the history of every record's fields).
-  bench::json_result("datapath_throughput", /*schema_version=*/7)
+  // docs/BENCHMARKS.md keeps the history of every record's fields.
+  bench::json_result("datapath_throughput", /*schema_version=*/8)
       .field("construction", core::construction_name(plan.construction))
       .field("sparing", mode)
       .field("backend", backend_kind)
@@ -260,7 +251,6 @@ bool run_one(const engine::LayoutPlan& plan, api::SparingMode sparing,
       .field("integrity", config.integrity)
       .field("failed_disks", static_cast<std::uint64_t>(failed.size()))
       .field("async", config.async)
-      .field("engine", engine_name(*store))
       .field("scheduler", config.async ? config.scheduler : "none")
       .field("queue_depth", static_cast<std::uint64_t>(config.queue_depth))
       .field("achieved_depth", healthy.stats.achieved_depth())
@@ -314,7 +304,6 @@ bool run_depth_sweep(const engine::LayoutPlan& plan,
   if (!io::fill_canonical(*store, 0, store->num_logical_units(), seed).ok())
     return false;
 
-  const std::string engine = engine_name(*store);
   bool ok = true;
   for (const std::uint32_t depth : {1u, 2u, 4u, 8u}) {
     const PhaseResult phase =
@@ -328,9 +317,8 @@ bool run_depth_sweep(const engine::LayoutPlan& plan,
         backend_kind.c_str(), depth, phase.mbps,
         phase.stats.achieved_depth(),
         phase.stats.read_latency_quantile_ns(0.99), bench::okbad(verified));
-    bench::json_result("datapath_async_depth", /*schema_version=*/2)
+    bench::json_result("datapath_async_depth", /*schema_version=*/3)
         .field("backend", backend_kind)
-        .field("engine", engine)
         .field("scheduler", config.scheduler)
         .field("queue_depth", static_cast<std::uint64_t>(depth))
         .field("achieved_depth", phase.stats.achieved_depth())

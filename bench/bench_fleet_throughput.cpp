@@ -126,8 +126,8 @@ std::uint64_t verify_all(fleet::Fleet& fleet, std::uint64_t seed) {
 
 struct PolicyResult {
   double fg_mbps = 0;
-  std::uint32_t read_p99_us = 0;
-  std::uint32_t write_p99_us = 0;
+  std::uint32_t read_p99_ns = 0;
+  std::uint32_t write_p99_ns = 0;
   double rebuild_mbps = 0;
   std::uint64_t stripes_rebuilt = 0;
   bool completed = false;  ///< rebuild quiescent + fleet healthy at the end
@@ -194,8 +194,8 @@ bool run_policy(fleet::GovernorPolicy policy, const BenchConfig& config,
 
   const std::uint64_t mismatches = verify_all(fleet, seed);
   out.fg_mbps = foreground.mbps;
-  out.read_p99_us = foreground.stats.read_latency_quantile_ns(0.99) / 1000;
-  out.write_p99_us = foreground.stats.write_latency_quantile_ns(0.99) / 1000;
+  out.read_p99_ns = foreground.stats.read_latency_quantile_ns(0.99);
+  out.write_p99_ns = foreground.stats.write_latency_quantile_ns(0.99);
   out.stripes_rebuilt = stripes.load(std::memory_order_relaxed);
   out.rebuild_mbps =
       phase_seconds > 0
@@ -210,12 +210,12 @@ bool run_policy(fleet::GovernorPolicy policy, const BenchConfig& config,
     *governor_stats = fleet.governor().shard_stats(kRebuildShard);
 
   std::printf(
-      "rebuilding %-22s fg %8.1f MB/s  read p99 %6u us  write p99 %6u us  "
+      "rebuilding %-22s fg %8.1f MB/s  read p99 %9u ns  write p99 %9u ns  "
       "rebuild %7.1f MB/s  %s\n",
       std::string(fleet::governor_policy_name(policy)).c_str(), out.fg_mbps,
-      out.read_p99_us, out.write_p99_us, out.rebuild_mbps,
+      out.read_p99_ns, out.write_p99_ns, out.rebuild_mbps,
       bench::okbad(out.verified));
-  bench::json_result("fleet_throughput", /*schema_version=*/1)
+  bench::json_result("fleet_throughput", /*schema_version=*/2)
       .field("phase", "rebuilding")
       .field("policy", std::string(fleet::governor_policy_name(policy)))
       .field("shards", static_cast<std::uint64_t>(fleet.num_shards()))
@@ -224,8 +224,8 @@ bool run_policy(fleet::GovernorPolicy policy, const BenchConfig& config,
       .field("threads", static_cast<std::uint64_t>(config.threads))
       .field("ops_per_thread", config.ops_per_thread)
       .field("fg_mbps", out.fg_mbps)
-      .field("read_p99_us", static_cast<std::uint64_t>(out.read_p99_us))
-      .field("write_p99_us", static_cast<std::uint64_t>(out.write_p99_us))
+      .field("read_p99_ns", static_cast<std::uint64_t>(out.read_p99_ns))
+      .field("write_p99_ns", static_cast<std::uint64_t>(out.write_p99_ns))
       .field("rebuild_mbps", out.rebuild_mbps)
       .field("stripes_rebuilt", out.stripes_rebuilt)
       .field("rebuild_completed", out.completed)
@@ -329,13 +329,13 @@ int main(int argc, char** argv) {
                           verify_all(fleet, seed) == 0;
     all_ok = all_ok && verified;
     std::printf(
-        "healthy     %-22s fg %8.1f MB/s  read p99 %6u us  write p99 %6u us"
+        "healthy     %-22s fg %8.1f MB/s  read p99 %9u ns  write p99 %9u ns"
         "  %s\n",
         "(3 shards, no failures)", healthy.mbps,
-        healthy.stats.read_latency_quantile_ns(0.99) / 1000,
-        healthy.stats.write_latency_quantile_ns(0.99) / 1000,
+        healthy.stats.read_latency_quantile_ns(0.99),
+        healthy.stats.write_latency_quantile_ns(0.99),
         bench::okbad(verified));
-    bench::json_result("fleet_throughput", /*schema_version=*/1)
+    bench::json_result("fleet_throughput", /*schema_version=*/2)
         .field("phase", "healthy")
         .field("policy", "none")
         .field("shards", static_cast<std::uint64_t>(fleet.num_shards()))
@@ -344,12 +344,12 @@ int main(int argc, char** argv) {
         .field("threads", static_cast<std::uint64_t>(config.threads))
         .field("ops_per_thread", config.ops_per_thread)
         .field("fg_mbps", healthy.mbps)
-        .field("read_p99_us",
+        .field("read_p99_ns",
                static_cast<std::uint64_t>(
-                   healthy.stats.read_latency_quantile_ns(0.99) / 1000))
-        .field("write_p99_us",
+                   healthy.stats.read_latency_quantile_ns(0.99)))
+        .field("write_p99_ns",
                static_cast<std::uint64_t>(
-                   healthy.stats.write_latency_quantile_ns(0.99) / 1000))
+                   healthy.stats.write_latency_quantile_ns(0.99)))
         .field("rebuild_mbps", 0.0)
         .field("stripes_rebuilt", std::uint64_t{0})
         .field("rebuild_completed", true)
@@ -379,12 +379,12 @@ int main(int argc, char** argv) {
           : 0.0,
       static_cast<unsigned long long>(protecting_gov.throttled_grants),
       bench::okbad(tradeoff_ok));
-  bench::json_result("fleet_governor_tradeoff", /*schema_version=*/1)
+  bench::json_result("fleet_governor_tradeoff", /*schema_version=*/2)
       .field("fifo_fg_mbps", fifo.fg_mbps)
       .field("protecting_fg_mbps", protecting.fg_mbps)
-      .field("fifo_read_p99_us", static_cast<std::uint64_t>(fifo.read_p99_us))
-      .field("protecting_read_p99_us",
-             static_cast<std::uint64_t>(protecting.read_p99_us))
+      .field("fifo_read_p99_ns", static_cast<std::uint64_t>(fifo.read_p99_ns))
+      .field("protecting_read_p99_ns",
+             static_cast<std::uint64_t>(protecting.read_p99_ns))
       .field("fifo_rebuild_mbps", fifo.rebuild_mbps)
       .field("protecting_rebuild_mbps", protecting.rebuild_mbps)
       .field("protecting_throttled_grants", protecting_gov.throttled_grants)

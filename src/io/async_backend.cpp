@@ -3,9 +3,7 @@
 // Engine internals.  One DiskQueue per disk: a mutex-guarded pending
 // list the schedulers pick from, drained by one worker thread.  The
 // worker gathers a dispatch chain (scheduler pick + adjacent-range
-// coalescing), then executes it either through the inner backend's
-// read/write (thread-pool engine) or as part of an io_uring wave when
-// the build, the kernel, and the inner backend's native handles allow.
+// coalescing), then executes it through the inner backend's read/write.
 //
 // Completion = write the request's status, decrement its batch's
 // remaining count under the batch mutex, notify waiters.  All caller
@@ -16,71 +14,12 @@
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#ifdef PDL_HAVE_IO_URING
-#include <linux/io_uring.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-
-#include <cerrno>
-#endif
-
 namespace pdl::io {
-
-namespace {
-
-/// Grow-only 4096-aligned buffer for merged-op staging (worker-owned,
-/// no locking).  aligned_alloc demands size % alignment == 0.
-class AlignedBuffer {
- public:
-  static constexpr std::size_t kAlignment = 4096;
-
-  AlignedBuffer() = default;
-  AlignedBuffer(AlignedBuffer&& other) noexcept
-      : data_(other.data_), capacity_(other.capacity_) {
-    other.data_ = nullptr;
-    other.capacity_ = 0;
-  }
-  AlignedBuffer& operator=(AlignedBuffer&& other) noexcept {
-    if (this != &other) {
-      std::free(data_);
-      data_ = other.data_;
-      capacity_ = other.capacity_;
-      other.data_ = nullptr;
-      other.capacity_ = 0;
-    }
-    return *this;
-  }
-  AlignedBuffer(const AlignedBuffer&) = delete;
-  AlignedBuffer& operator=(const AlignedBuffer&) = delete;
-  ~AlignedBuffer() { std::free(data_); }
-
-  [[nodiscard]] std::span<std::uint8_t> get(std::size_t size) {
-    if (size > capacity_) {
-      std::free(data_);
-      capacity_ = (size + kAlignment - 1) / kAlignment * kAlignment;
-      data_ = static_cast<std::uint8_t*>(
-          std::aligned_alloc(kAlignment, capacity_));
-      if (data_ == nullptr) {
-        capacity_ = 0;
-        throw std::bad_alloc();
-      }
-    }
-    return {data_, size};
-  }
-
- private:
-  std::uint8_t* data_ = nullptr;
-  std::size_t capacity_ = 0;
-};
-
-}  // namespace
 
 // ----------------------------------------------------------- batch state
 
@@ -123,100 +62,6 @@ struct DiskQueue {
   std::thread worker;
 };
 
-#ifdef PDL_HAVE_IO_URING
-
-int sys_io_uring_setup(unsigned entries, io_uring_params* params) {
-  return static_cast<int>(::syscall(__NR_io_uring_setup, entries, params));
-}
-
-int sys_io_uring_enter(int fd, unsigned to_submit, unsigned min_complete,
-                       unsigned flags) {
-  return static_cast<int>(::syscall(__NR_io_uring_enter, fd, to_submit,
-                                    min_complete, flags, nullptr, 0));
-}
-
-/// One raw (liburing-free) ring: setup + the three mmaps + typed
-/// accessors.  Single-threaded use by its owning disk worker.
-struct Uring {
-  int fd = -1;
-  void* sq_ring = MAP_FAILED;
-  std::size_t sq_ring_len = 0;
-  void* cq_ring = MAP_FAILED;
-  std::size_t cq_ring_len = 0;
-  io_uring_sqe* sqes = nullptr;
-  std::size_t sqes_len = 0;
-  bool single_mmap = false;
-
-  unsigned* sq_head = nullptr;
-  unsigned* sq_tail = nullptr;
-  unsigned sq_mask = 0;
-  unsigned* sq_array = nullptr;
-  unsigned* cq_head = nullptr;
-  unsigned* cq_tail = nullptr;
-  unsigned cq_mask = 0;
-  io_uring_cqe* cqes = nullptr;
-
-  [[nodiscard]] bool init(unsigned entries) {
-    io_uring_params params{};
-    fd = sys_io_uring_setup(entries, &params);
-    if (fd < 0) return false;
-
-    sq_ring_len = params.sq_off.array + params.sq_entries * sizeof(unsigned);
-    cq_ring_len =
-        params.cq_off.cqes + params.cq_entries * sizeof(io_uring_cqe);
-    single_mmap = (params.features & IORING_FEAT_SINGLE_MMAP) != 0;
-    if (single_mmap) sq_ring_len = cq_ring_len = std::max(sq_ring_len,
-                                                          cq_ring_len);
-    sq_ring = ::mmap(nullptr, sq_ring_len, PROT_READ | PROT_WRITE,
-                     MAP_SHARED | MAP_POPULATE, fd, IORING_OFF_SQ_RING);
-    if (sq_ring == MAP_FAILED) return destroy(), false;
-    cq_ring = single_mmap
-                  ? sq_ring
-                  : ::mmap(nullptr, cq_ring_len, PROT_READ | PROT_WRITE,
-                           MAP_SHARED | MAP_POPULATE, fd, IORING_OFF_CQ_RING);
-    if (cq_ring == MAP_FAILED) return destroy(), false;
-    sqes_len = params.sq_entries * sizeof(io_uring_sqe);
-    void* sqes_map = ::mmap(nullptr, sqes_len, PROT_READ | PROT_WRITE,
-                            MAP_SHARED | MAP_POPULATE, fd, IORING_OFF_SQES);
-    if (sqes_map == MAP_FAILED) return destroy(), false;
-    sqes = static_cast<io_uring_sqe*>(sqes_map);
-
-    auto* sq = static_cast<std::uint8_t*>(sq_ring);
-    sq_head = reinterpret_cast<unsigned*>(sq + params.sq_off.head);
-    sq_tail = reinterpret_cast<unsigned*>(sq + params.sq_off.tail);
-    sq_mask = *reinterpret_cast<unsigned*>(sq + params.sq_off.ring_mask);
-    sq_array = reinterpret_cast<unsigned*>(sq + params.sq_off.array);
-    auto* cq = static_cast<std::uint8_t*>(cq_ring);
-    cq_head = reinterpret_cast<unsigned*>(cq + params.cq_off.head);
-    cq_tail = reinterpret_cast<unsigned*>(cq + params.cq_off.tail);
-    cq_mask = *reinterpret_cast<unsigned*>(cq + params.cq_off.ring_mask);
-    cqes = reinterpret_cast<io_uring_cqe*>(cq + params.cq_off.cqes);
-    return true;
-  }
-
-  void destroy() noexcept {
-    if (sqes != nullptr) ::munmap(sqes, sqes_len);
-    if (cq_ring != MAP_FAILED && !single_mmap) ::munmap(cq_ring, cq_ring_len);
-    if (sq_ring != MAP_FAILED) ::munmap(sq_ring, sq_ring_len);
-    if (fd >= 0) ::close(fd);
-    sqes = nullptr;
-    cq_ring = sq_ring = MAP_FAILED;
-    fd = -1;
-  }
-
-  ~Uring() { destroy(); }
-};
-
-/// Probe once whether this kernel lets us create rings at all (the
-/// syscall may be absent or seccomp-blocked; both fail here).
-[[nodiscard]] bool io_uring_available() {
-  Uring probe;
-  const bool ok = probe.init(4);
-  return ok;
-}
-
-#endif  // PDL_HAVE_IO_URING
-
 }  // namespace
 
 struct AsyncDiskBackend::Impl {
@@ -224,14 +69,12 @@ struct AsyncDiskBackend::Impl {
   std::uint64_t next_seq = 0;  ///< guarded by stats_mutex
   std::chrono::steady_clock::time_point epoch =
       std::chrono::steady_clock::now();
-  bool uring_active = false;
-  std::uint32_t uring_depth = 64;
 
   mutable std::mutex stats_mutex;
   AsyncBackendStats stats;  ///< all fields except `completed` (atomic below)
   /// Requests completed, counted in complete_node before the waiter
   /// wakes (the mutex-guarded fields are engine-side bookkeeping and
-  /// may lag a wave behind).
+  /// may lag a chain behind).
   std::atomic<std::uint64_t> completed{0};
 
   [[nodiscard]] std::uint64_t now_us() const noexcept {
@@ -250,7 +93,6 @@ AsyncDiskBackend::AsyncDiskBackend(std::unique_ptr<DiskBackend> inner,
   // Validate the policy name eagerly: a typo should fail at
   // construction, not first dispatch.
   (void)make_io_scheduler(options_.scheduler);
-  impl_->uring_depth = std::max(1u, options_.uring_depth);
 }
 
 AsyncDiskBackend::~AsyncDiskBackend() {
@@ -261,10 +103,6 @@ AsyncDiskBackend::~AsyncDiskBackend() {
   }
   for (const auto& queue : impl_->queues)
     if (queue->worker.joinable()) queue->worker.join();
-}
-
-std::string_view AsyncDiskBackend::engine() const noexcept {
-  return impl_->uring_active ? "io_uring" : "thread-pool";
 }
 
 AsyncBackendStats AsyncDiskBackend::stats() const {
@@ -302,33 +140,34 @@ struct Chain {
   [[nodiscard]] std::uint64_t size() const noexcept { return hi - lo; }
 };
 
-/// Executes one chain through the inner backend's read/write (the
-/// thread-pool engine, and the fallback path of the io_uring engine).
-/// Merged chains stage through `staging`; every node gets the merged
-/// op's status.
-void execute_chain_inner(DiskBackend& inner, DiskId disk, Chain& chain,
-                         AlignedBuffer& staging) {
+/// Executes one chain through the inner backend's read/write.  Merged
+/// chains stage through `staging`, a grow-only buffer the worker owns;
+/// every node gets the merged op's status.
+void execute_chain(DiskBackend& inner, DiskId disk, const Chain& chain,
+                   std::vector<std::uint8_t>& staging) {
   Status status;
   if (chain.nodes.size() == 1) {
     IoRequest& request = *chain.nodes.front().request;
     status = request.op == IoRequest::Op::kRead
                  ? inner.read(disk, request.offset, request.read_buf)
                  : inner.write(disk, request.offset, request.write_buf);
-  } else if (chain.op() == IoRequest::Op::kWrite) {
-    const auto buffer = staging.get(chain.size());
-    for (const Node& node : chain.nodes)
-      std::memcpy(buffer.data() + (node.request->offset - chain.lo),
-                  node.request->write_buf.data(),
-                  node.request->write_buf.size());
-    status = inner.write(disk, chain.lo, buffer);
   } else {
-    const auto buffer = staging.get(chain.size());
-    status = inner.read(disk, chain.lo, buffer);
-    if (status.ok())
+    if (staging.size() < chain.size()) staging.resize(chain.size());
+    const std::span<std::uint8_t> buffer(staging.data(), chain.size());
+    if (chain.op() == IoRequest::Op::kWrite) {
       for (const Node& node : chain.nodes)
-        std::memcpy(node.request->read_buf.data(),
-                    buffer.data() + (node.request->offset - chain.lo),
-                    node.request->read_buf.size());
+        std::memcpy(buffer.data() + (node.request->offset - chain.lo),
+                    node.request->write_buf.data(),
+                    node.request->write_buf.size());
+      status = inner.write(disk, chain.lo, buffer);
+    } else {
+      status = inner.read(disk, chain.lo, buffer);
+      if (status.ok())
+        for (const Node& node : chain.nodes)
+          std::memcpy(node.request->read_buf.data(),
+                      buffer.data() + (node.request->offset - chain.lo),
+                      node.request->read_buf.size());
+    }
   }
   for (const Node& node : chain.nodes) complete_node(node, status);
 }
@@ -389,179 +228,30 @@ namespace {
   return chain;
 }
 
-#ifdef PDL_HAVE_IO_URING
-
-/// Executes a wave of chains as one ring submission.  Chains the ring
-/// cannot carry (zero-sized, misaligned under O_DIRECT) and chains
-/// whose cqe reports an error or short transfer are redone through the
-/// inner backend -- same bytes, same range, so the redo is idempotent
-/// and its status is the truth.
-void execute_wave_uring(DiskBackend& inner, Uring& ring, DiskId disk,
-                        std::vector<Chain>& wave,
-                        std::vector<AlignedBuffer>& slots,
-                        AlignedBuffer& staging) {
-  const int fd = inner.native_handle(disk);
-  const std::uint32_t alignment = inner.io_alignment();
-  if (slots.size() < wave.size())
-    slots.resize(wave.size());  // AlignedBuffer is not copyable -- grow only
-
-  // Partition: chains the ring can carry directly vs ones needing the
-  // inner backend.  Merged chains stage through their wave slot
-  // (4096-aligned, so only offset/size alignment can disqualify them).
-  struct Flight {
-    Chain* chain;
-    std::uint8_t* buffer;
-    std::uint64_t size;
-  };
-  std::vector<Flight> flights;
-  flights.reserve(wave.size());
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    Chain& chain = wave[i];
-    const std::uint64_t size = chain.size();
-    std::uint8_t* buffer = nullptr;
-    if (chain.nodes.size() == 1) {
-      IoRequest& request = *chain.nodes.front().request;
-      buffer = request.op == IoRequest::Op::kRead
-                   ? request.read_buf.data()
-                   : const_cast<std::uint8_t*>(request.write_buf.data());
-    } else {
-      buffer = slots[i].get(size).data();
-      if (chain.op() == IoRequest::Op::kWrite)
-        for (const Node& node : chain.nodes)
-          std::memcpy(buffer + (node.request->offset - chain.lo),
-                      node.request->write_buf.data(),
-                      node.request->write_buf.size());
-    }
-    const bool aligned =
-        alignment <= 1 ||
-        (chain.lo % alignment == 0 && size % alignment == 0 &&
-         reinterpret_cast<std::uintptr_t>(buffer) % alignment == 0);
-    if (size == 0 || !aligned) {
-      execute_chain_inner(inner, disk, chain, staging);
-      chain.nodes.clear();  // completed; skip in the reap phase
-      continue;
-    }
-    flights.push_back({&chain, buffer, size});
-  }
-  if (flights.empty()) return;
-
-  // Fill + submit all sqes in one io_uring_enter.
-  unsigned tail = __atomic_load_n(ring.sq_tail, __ATOMIC_RELAXED);
-  for (std::size_t i = 0; i < flights.size(); ++i) {
-    const Flight& flight = flights[i];
-    const unsigned slot = tail & ring.sq_mask;
-    io_uring_sqe& sqe = ring.sqes[slot];
-    std::memset(&sqe, 0, sizeof sqe);
-    sqe.opcode = flight.chain->op() == IoRequest::Op::kRead ? IORING_OP_READ
-                                                            : IORING_OP_WRITE;
-    sqe.fd = fd;
-    sqe.addr = reinterpret_cast<std::uint64_t>(flight.buffer);
-    sqe.len = static_cast<std::uint32_t>(flight.size);
-    sqe.off = flight.chain->lo;
-    sqe.user_data = i;
-    ring.sq_array[slot] = slot;
-    ++tail;
-  }
-  __atomic_store_n(ring.sq_tail, tail, __ATOMIC_RELEASE);
-
-  const auto enter = [&](unsigned to_submit, unsigned min_complete) {
-    int ret;
-    do {
-      ret = sys_io_uring_enter(ring.fd, to_submit, min_complete,
-                               IORING_ENTER_GETEVENTS);
-    } while (ret < 0 && errno == EINTR);
-    return ret;
-  };
-  std::vector<int> results(flights.size(), -EIO);
-  const unsigned count = static_cast<unsigned>(flights.size());
-  if (enter(count, count) < 0) {
-    // Whole-wave submission failure (ring torn down, seccomp change):
-    // fall back to the inner path per chain.
-    for (const Flight& flight : flights)
-      execute_chain_inner(inner, disk, *flight.chain, staging);
-    return;
-  }
-  unsigned reaped = 0;
-  while (reaped < count) {
-    unsigned head = __atomic_load_n(ring.cq_head, __ATOMIC_RELAXED);
-    const unsigned cq_tail = __atomic_load_n(ring.cq_tail, __ATOMIC_ACQUIRE);
-    while (head != cq_tail && reaped < count) {
-      const io_uring_cqe& cqe = ring.cqes[head & ring.cq_mask];
-      if (cqe.user_data < results.size())
-        results[static_cast<std::size_t>(cqe.user_data)] = cqe.res;
-      ++head;
-      ++reaped;
-    }
-    __atomic_store_n(ring.cq_head, head, __ATOMIC_RELEASE);
-    if (reaped < count && enter(0, count - reaped) < 0) break;
-  }
-
-  for (std::size_t i = 0; i < flights.size(); ++i) {
-    Chain& chain = *flights[i].chain;
-    const int res = results[i];
-    if (res < 0 || static_cast<std::uint64_t>(res) != flights[i].size) {
-      execute_chain_inner(inner, disk, chain, staging);
-      continue;
-    }
-    if (chain.op() == IoRequest::Op::kRead && chain.nodes.size() > 1)
-      for (const Node& node : chain.nodes)
-        std::memcpy(node.request->read_buf.data(),
-                    flights[i].buffer + (node.request->offset - chain.lo),
-                    node.request->read_buf.size());
-    for (const Node& node : chain.nodes) complete_node(node, OkStatus());
-  }
-}
-
-#endif  // PDL_HAVE_IO_URING
-
 }  // namespace
 
 void AsyncDiskBackend::worker_loop(DiskId disk) {
   DiskQueue& queue = *impl_->queues[disk];
-  AlignedBuffer staging;
+  std::vector<std::uint8_t> staging;
   std::vector<PendingIo> view;
-  std::vector<Chain> wave;
-
-#ifdef PDL_HAVE_IO_URING
-  Uring ring;
-  const bool use_uring = impl_->uring_active &&
-                         inner_->native_handle(disk) >= 0 &&
-                         ring.init(impl_->uring_depth);
-  std::vector<AlignedBuffer> wave_staging;  ///< one slot per in-flight chain
-#else
-  constexpr bool use_uring = false;
-#endif
 
   for (;;) {
-    wave.clear();
+    Chain chain;
     {
       std::unique_lock lock(queue.mutex);
       queue.wake.wait(lock,
                       [&] { return queue.stop || !queue.pending.empty(); });
       if (queue.pending.empty()) break;  // stop requested, queue drained
-      // Gather one chain always; with a real ring, drain up to a full
-      // wave of chains so they fly as one submission.
-      const std::size_t wave_limit = use_uring ? impl_->uring_depth : 1;
-      while (!queue.pending.empty() && wave.size() < wave_limit)
-        wave.push_back(
-            gather_chain(queue, options_, view, impl_->now_us()));
+      chain = gather_chain(queue, options_, view, impl_->now_us());
     }
 
-    std::uint64_t requests = 0;
-    for (const Chain& chain : wave) requests += chain.nodes.size();
-
-#ifdef PDL_HAVE_IO_URING
-    if (use_uring)
-      execute_wave_uring(*inner_, ring, disk, wave, wave_staging, staging);
-    else
-#endif
-      for (Chain& chain : wave)
-        execute_chain_inner(*inner_, disk, chain, staging);
+    const std::uint64_t requests = chain.nodes.size();
+    execute_chain(*inner_, disk, chain, staging);
 
     {
       std::lock_guard lock(impl_->stats_mutex);
-      impl_->stats.substrate_ops += wave.size();
-      impl_->stats.coalesced += requests - wave.size();
+      ++impl_->stats.substrate_ops;
+      impl_->stats.coalesced += requests - 1;
     }
     {
       std::lock_guard lock(queue.mutex);
@@ -578,15 +268,6 @@ Status AsyncDiskBackend::open(const BackendGeometry& geometry) {
   if (!impl_->queues.empty())
     return Status::failed_precondition("async backend: already open");
   if (Status opened = inner_->open(geometry); !opened.ok()) return opened;
-
-#ifdef PDL_HAVE_IO_URING
-  if (options_.try_io_uring) {
-    bool any_handle = false;
-    for (DiskId disk = 0; disk < geometry.num_disks && !any_handle; ++disk)
-      any_handle = inner_->native_handle(disk) >= 0;
-    impl_->uring_active = any_handle && io_uring_available();
-  }
-#endif
 
   impl_->queues.reserve(geometry.num_disks);
   for (DiskId disk = 0; disk < geometry.num_disks; ++disk) {

@@ -3,16 +3,11 @@
 /// pdl::io::AsyncDiskBackend -- the async batched I/O engine.
 ///
 /// A decorator that puts one submission queue in front of every disk of
-/// an inner DiskBackend and drains each queue with a per-disk engine:
-///
-///   * io_uring (built under -DPDL_IO_URING, probed at runtime) when the
-///     inner backend exposes native positioned-I/O handles
-///     (DiskBackend::native_handle) -- a whole dispatch wave becomes one
-///     ring submission, so a single disk carries many in-flight ops;
-///   * a per-disk completion thread issuing the inner backend's
-///     read/write everywhere else (memory backends, decorators, kernels
-///     without io_uring) -- one op in flight per disk, cross-disk
-///     parallelism from the fan-out.
+/// an inner DiskBackend and drains each queue with a per-disk worker
+/// thread issuing the inner backend's read/write: one op in flight per
+/// disk, cross-disk parallelism from the fan-out.  Every op goes through
+/// the inner backend's own read/write, so its range checks and
+/// durability options apply to queued traffic as to direct calls.
 ///
 /// On top of the queues the engine layers the two things a real array
 /// wins with (ROADMAP "Async batched I/O engine"):
@@ -70,12 +65,6 @@ struct AsyncBackendOptions {
   /// Upper bound on one merged op (keeps staging buffers and latency
   /// outliers bounded).
   std::uint64_t max_coalesced_bytes = 1u << 20;
-  /// Try the io_uring engine when compiled in and the inner backend
-  /// exposes native handles; false forces the thread-pool engine.
-  bool try_io_uring = true;
-  /// Ring entries per disk == max in-flight ops one disk's io_uring
-  /// wave may carry.
-  std::uint32_t uring_depth = 64;
 };
 
 /// Monotonic counters of what the engine actually did (since open).
@@ -90,7 +79,7 @@ struct AsyncBackendStats {
 };
 
 /// The async batched I/O engine.  See the file comment for the model
-/// and contract; construction is cheap, engines start at open().
+/// and contract; construction is cheap, workers start at open().
 class AsyncDiskBackend final : public DiskBackend {
  public:
   /// Wait token for one submit() call.  Movable, not copyable; the
@@ -115,7 +104,7 @@ class AsyncDiskBackend final : public DiskBackend {
 
   explicit AsyncDiskBackend(std::unique_ptr<DiskBackend> inner,
                             AsyncBackendOptions options = {});
-  /// Drains every queue and joins the engines.
+  /// Drains every queue and joins the workers.
   ~AsyncDiskBackend() override;
 
   AsyncDiskBackend(const AsyncDiskBackend&) = delete;
@@ -175,9 +164,6 @@ class AsyncDiskBackend final : public DiskBackend {
   /// The decorated substrate.  Read-only surfaces are fair game;
   /// writing through it bypasses the queues.
   [[nodiscard]] DiskBackend& inner() noexcept { return *inner_; }
-  /// Completion engine actually running: "io_uring" or "thread-pool"
-  /// (decided at open(): compile gate, runtime probe, inner handles).
-  [[nodiscard]] std::string_view engine() const noexcept;
   /// The per-disk scheduling policy's name.
   [[nodiscard]] std::string_view scheduler() const noexcept {
     return options_.scheduler;
@@ -186,9 +172,9 @@ class AsyncDiskBackend final : public DiskBackend {
   [[nodiscard]] AsyncBackendStats stats() const;
 
  private:
-  struct Impl;  ///< queues, engines, clock, stats
+  struct Impl;  ///< queues, workers, clock, stats
 
-  /// One disk's drain loop (scheduler pick, coalescing, engine dispatch).
+  /// One disk's drain loop (scheduler pick, coalescing, inner read/write).
   void worker_loop(DiskId disk);
   /// Blocks until the disk's queue is empty and nothing is in flight.
   [[nodiscard]] Status drain(DiskId disk);

@@ -215,24 +215,6 @@ class DiskBackend {
   /// real in-flight parallelism.
   [[nodiscard]] virtual bool async() const noexcept { return false; }
 
-  /// Optional native positioned-I/O handle (a POSIX fd usable with
-  /// pread/pwrite/io_uring) for `disk`, or -1 when the substrate has
-  /// none.  AsyncDiskBackend's io_uring engine submits directly against
-  /// these; everything else must route through read()/write().
-  [[nodiscard]] virtual int native_handle(DiskId disk) const noexcept {
-    (void)disk;
-    return -1;
-  }
-
-  /// Current I/O alignment requirement in bytes (offset, size, and
-  /// buffer address) for direct submission against native_handle(); 1
-  /// means unconstrained.  FileBackend reports its O_DIRECT alignment
-  /// while direct I/O is active.  May relax (e.g. to 1) at runtime
-  /// after a graceful fallback, never tighten.
-  [[nodiscard]] virtual std::uint32_t io_alignment() const noexcept {
-    return 1;
-  }
-
   // ------------------------------------------- write-ahead journal seam
   //
   // A crash between the writes of one parity-maintenance batch (data
@@ -341,33 +323,6 @@ struct FileBackendOptions {
   /// fdatasync every write before returning (slow; sync() batching is
   /// the intended discipline).
   bool sync_on_write = false;
-  /// Open the disk images with O_DIRECT, bypassing the page cache --
-  /// the honest-media mode for throughput measurements (no write-back
-  /// caching flattering the numbers).
-  ///
-  /// ## Alignment contract
-  /// Direct I/O requires offset, size, AND buffer address aligned to
-  /// the filesystem's logical block size; FileBackend uses
-  /// kDirectAlignment (4096, covering every common filesystem).  The
-  /// backend discharges the *buffer* leg itself: an op whose offset and
-  /// size are aligned but whose caller buffer is not is staged through
-  /// a thread-local aligned bounce buffer, so callers never need
-  /// aligned allocations.  Offset/size alignment it cannot fix without
-  /// read-amplifying neighbouring bytes (unsafe under concurrent
-  /// writers), so the FIRST op with a misaligned offset or size
-  /// gracefully downgrades the backend to buffered I/O for the rest of
-  /// its life (fcntl clearing O_DIRECT; direct_io_active() turns
-  /// false).  The same sticky fallback runs when the filesystem refuses
-  /// O_DIRECT outright (tmpfs at open(); EINVAL at first pread).  In
-  /// practice: size every unit_bytes as a multiple of 4096 and direct
-  /// I/O stays engaged; anything else still works, just buffered.
-  bool direct_io = false;
-  /// Keep a write-ahead journal (`journal.bin` beside the images) for
-  /// atomic write batches: journal_begin/journal_commit become
-  /// available, and open() replays or discards un-retired records left
-  /// by a crash (see DiskBackend's journal seam).  On by default --
-  /// the cost is one extra sequential pwrite per journaled batch.
-  bool journal = true;
 };
 
 /// Journal activity counters (monotonic since open()).
@@ -378,8 +333,8 @@ struct FileJournalStats {
   std::uint64_t discarded = 0;  ///< torn records dropped at open()
 };
 
-/// File-per-disk substrate driven with pread/pwrite at caller offsets
-/// (thread-safe per POSIX, no shared file cursor).  open() adopts
+/// File-per-disk substrate driven with buffered pread/pwrite at caller
+/// offsets (thread-safe per POSIX, no shared file cursor).  open() adopts
 /// existing image files byte-for-byte when their size matches the
 /// geometry -- the crash-safe reopen path: a store re-created over the
 /// same directory serves the bytes a previous process wrote, and parity
@@ -391,12 +346,14 @@ struct FileJournalStats {
 /// than silently adopted.  Layout identity beyond the geometry
 /// (construction, sparing mode) is the caller's to persist, e.g. via
 /// api::Array::save/load beside the images.
+///
+/// Always journaled: a write-ahead journal (`journal.bin` beside the
+/// images) backs journal_begin/journal_commit for atomic write batches,
+/// and open() replays or discards un-retired records left by a crash
+/// (see DiskBackend's journal seam).  The cost is one extra sequential
+/// pwrite per journaled batch.
 class FileBackend final : public DiskBackend {
  public:
-  /// Offset/size/address alignment O_DIRECT ops must satisfy (see the
-  /// FileBackendOptions::direct_io contract).
-  static constexpr std::uint32_t kDirectAlignment = 4096;
-
   explicit FileBackend(FileBackendOptions options);
   ~FileBackend() override;
 
@@ -413,11 +370,7 @@ class FileBackend final : public DiskBackend {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "file";
   }
-  [[nodiscard]] int native_handle(DiskId disk) const noexcept override;
-  [[nodiscard]] std::uint32_t io_alignment() const noexcept override;
-  [[nodiscard]] bool journaled() const noexcept override {
-    return options_.journal;
-  }
+  [[nodiscard]] bool journaled() const noexcept override { return true; }
   [[nodiscard]] Result<std::uint64_t> journal_begin(
       std::span<const IoRequest> batch) override;
   [[nodiscard]] Status journal_commit(std::uint64_t token) override;
@@ -425,24 +378,13 @@ class FileBackend final : public DiskBackend {
   /// The image file backing `disk` (valid after open()).
   [[nodiscard]] std::string disk_path(DiskId disk) const;
 
-  /// True while O_DIRECT is engaged on the image fds (requested via
-  /// options, accepted by the filesystem, and not yet downgraded by a
-  /// misaligned op -- see the FileBackendOptions::direct_io contract).
-  [[nodiscard]] bool direct_io_active() const noexcept;
-
-  /// Journal activity since open() (zeros when options.journal is off).
+  /// Journal activity since open().
   [[nodiscard]] FileJournalStats journal_stats() const;
 
  private:
   [[nodiscard]] Status check(DiskId disk, std::uint64_t offset,
                              std::uint64_t size) const;
   void close_all() noexcept;
-  /// Sticky downgrade to buffered I/O: clears O_DIRECT on every fd.
-  void fall_back_to_buffered() noexcept;
-  [[nodiscard]] Status read_direct(DiskId disk, std::uint64_t offset,
-                                   std::span<std::uint8_t> out);
-  [[nodiscard]] Status write_direct(DiskId disk, std::uint64_t offset,
-                                    std::span<const std::uint8_t> data);
 
   [[nodiscard]] Status open_journal();
   [[nodiscard]] Status replay_journal();
@@ -450,8 +392,6 @@ class FileBackend final : public DiskBackend {
   FileBackendOptions options_;
   BackendGeometry geometry_;
   std::vector<int> fds_;  ///< one O_RDWR descriptor per disk
-  struct DirectState;     ///< atomic active flag + fallback mutex
-  std::unique_ptr<DirectState> direct_;
   struct JournalState;    ///< slot allocator + fd + stats behind a mutex
   std::unique_ptr<JournalState> journal_;
 };

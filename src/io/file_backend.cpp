@@ -1,27 +1,18 @@
 #include "io/disk_backend.hpp"
 
-// POSIX file-per-disk substrate: pread/pwrite at explicit offsets (no
-// shared cursor, so concurrent threads need no extra locking), fdatasync
-// for the durability point, ftruncate to materialize fresh zero-filled
-// images.  Short reads/writes are looped; EINTR is retried.
-//
-// Direct I/O (FileBackendOptions::direct_io) opens the images with
-// O_DIRECT.  The alignment contract lives on the option in
-// disk_backend.hpp; operationally: misaligned caller buffers stage
-// through a thread-local 4096-aligned bounce, a misaligned offset/size
-// or a filesystem refusal (tmpfs at open, EINVAL at first transfer)
-// triggers the sticky fall_back_to_buffered() downgrade.
+// POSIX file-per-disk substrate: buffered pread/pwrite at explicit
+// offsets (no shared cursor, so concurrent threads need no extra
+// locking), fdatasync for the durability point, ftruncate to
+// materialize fresh zero-filled images, and a write-ahead journal beside
+// the images.  Short reads/writes are looped; EINTR is retried.
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -75,47 +66,6 @@ namespace {
   return true;
 }
 
-/// Grow-only 4096-aligned bounce buffer for direct-I/O staging of
-/// misaligned caller buffers.  Thread-local at the call sites, so
-/// concurrent ops never share one.
-class AlignedBounce {
- public:
-  ~AlignedBounce() { std::free(data_); }
-
-  [[nodiscard]] std::uint8_t* get(std::size_t size) {
-    if (size > capacity_) {
-      std::free(data_);
-      capacity_ = (size + FileBackend::kDirectAlignment - 1) /
-                  FileBackend::kDirectAlignment * FileBackend::kDirectAlignment;
-      data_ = static_cast<std::uint8_t*>(
-          std::aligned_alloc(FileBackend::kDirectAlignment, capacity_));
-      if (data_ == nullptr) {
-        capacity_ = 0;
-        throw std::bad_alloc();
-      }
-    }
-    return data_;
-  }
-
- private:
-  std::uint8_t* data_ = nullptr;
-  std::size_t capacity_ = 0;
-};
-
-[[nodiscard]] AlignedBounce& thread_bounce() {
-  thread_local AlignedBounce bounce;
-  return bounce;
-}
-
-[[nodiscard]] bool pointer_aligned(const void* p) noexcept {
-  return reinterpret_cast<std::uintptr_t>(p) % FileBackend::kDirectAlignment ==
-         0;
-}
-
-}  // namespace
-
-namespace {
-
 /// Name of the geometry manifest written next to the image files: pins
 /// (num_disks, disk_bytes) so a reopen with a different array shape is
 /// refused instead of silently adopting byte-incompatible images.
@@ -166,13 +116,6 @@ static_assert(sizeof(JournalEntry) == 16);
 
 }  // namespace
 
-/// Direct-I/O engagement state: the atomic flag the hot path loads, and
-/// a mutex serializing the (rare, idempotent) fallback transition.
-struct FileBackend::DirectState {
-  std::atomic<bool> active{false};
-  std::mutex fallback_mutex;
-};
-
 /// Journal bookkeeping: the slot allocator and counters behind a mutex;
 /// journal_begin waits on the cv when every slot holds an un-retired
 /// record (commits free slots, so waiting is bounded by in-flight
@@ -188,33 +131,9 @@ struct FileBackend::JournalState {
 
 FileBackend::FileBackend(FileBackendOptions options)
     : options_(std::move(options)),
-      direct_(std::make_unique<DirectState>()),
       journal_(std::make_unique<JournalState>()) {}
 
 FileBackend::~FileBackend() { close_all(); }
-
-bool FileBackend::direct_io_active() const noexcept {
-  return direct_->active.load(std::memory_order_acquire);
-}
-
-int FileBackend::native_handle(DiskId disk) const noexcept {
-  return disk < fds_.size() ? fds_[disk] : -1;
-}
-
-std::uint32_t FileBackend::io_alignment() const noexcept {
-  return direct_io_active() ? kDirectAlignment : 1;
-}
-
-void FileBackend::fall_back_to_buffered() noexcept {
-  std::lock_guard lock(direct_->fallback_mutex);
-  if (!direct_->active.load(std::memory_order_acquire)) return;
-  for (const int fd : fds_) {
-    if (fd < 0) continue;
-    const int flags = ::fcntl(fd, F_GETFL);
-    if (flags >= 0) (void)::fcntl(fd, F_SETFL, flags & ~O_DIRECT);
-  }
-  direct_->active.store(false, std::memory_order_release);
-}
 
 void FileBackend::close_all() noexcept {
   for (const int fd : fds_)
@@ -290,24 +209,9 @@ Status FileBackend::open(const BackendGeometry& geometry) {
 
   geometry_ = geometry;
   fds_.assign(geometry.num_disks, -1);
-  bool want_direct = options_.direct_io;
   for (DiskId disk = 0; disk < geometry.num_disks; ++disk) {
     const std::string path = disk_path(disk);
-    constexpr int kBaseFlags = O_RDWR | O_CREAT | O_CLOEXEC;
-    int fd = want_direct ? ::open(path.c_str(), kBaseFlags | O_DIRECT, 0644)
-                         : -1;
-    if (fd < 0 && want_direct && errno == EINVAL) {
-      // Filesystem refuses O_DIRECT outright (tmpfs): the documented
-      // graceful fallback.  All images share one directory, hence one
-      // filesystem -- downgrade everything, including already-open fds.
-      want_direct = false;
-      for (const int prior : fds_)
-        if (prior >= 0) {
-          const int flags = ::fcntl(prior, F_GETFL);
-          if (flags >= 0) (void)::fcntl(prior, F_SETFL, flags & ~O_DIRECT);
-        }
-    }
-    if (fd < 0) fd = ::open(path.c_str(), kBaseFlags, 0644);
+    const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
     if (fd < 0) {
       Status failed = Status::io_error(errno_text("open", path));
       close_all();
@@ -344,11 +248,9 @@ Status FileBackend::open(const BackendGeometry& geometry) {
     // size == disk_bytes: reopened image, adopt its bytes as-is.
   }
 
-  if (options_.journal) {
-    if (Status journal = open_journal(); !journal.ok()) {
-      close_all();
-      return journal;
-    }
+  if (Status journal = open_journal(); !journal.ok()) {
+    close_all();
+    return journal;
   }
 
   // Make the directory entries themselves durable: fdatasync on the data
@@ -359,8 +261,6 @@ Status FileBackend::open(const BackendGeometry& geometry) {
     close_all();
     return failed;
   }
-
-  direct_->active.store(want_direct, std::memory_order_release);
   return OkStatus();
 }
 
@@ -482,8 +382,8 @@ Status FileBackend::replay_journal() {
 
 Result<std::uint64_t> FileBackend::journal_begin(
     std::span<const IoRequest> batch) {
-  if (!options_.journal || journal_->fd < 0)
-    return Status::unsupported("file backend journal is disabled");
+  if (journal_->fd < 0)
+    return Status::failed_precondition("file backend: not open");
 
   std::uint32_t count = 0;
   std::uint64_t body_bytes = 0;
@@ -564,8 +464,8 @@ Result<std::uint64_t> FileBackend::journal_begin(
 }
 
 Status FileBackend::journal_commit(std::uint64_t token) {
-  if (!options_.journal || journal_->fd < 0)
-    return Status::unsupported("file backend journal is disabled");
+  if (journal_->fd < 0)
+    return Status::failed_precondition("file backend: not open");
   if (token >= kJournalSlots)
     return Status::invalid_argument("journal token " + std::to_string(token) +
                                     " out of range");
@@ -595,57 +495,9 @@ FileJournalStats FileBackend::journal_stats() const {
   return journal_->stats;
 }
 
-Status FileBackend::read_direct(DiskId disk, std::uint64_t offset,
-                                std::span<std::uint8_t> out) {
-  // Offset/size alignment is the caller's (checked in read()); the
-  // buffer-address leg is discharged here via the thread-local bounce.
-  const bool bounce = !pointer_aligned(out.data());
-  std::uint8_t* target = bounce ? thread_bounce().get(out.size()) : out.data();
-  if (!pread_all(fds_[disk], target, out.size(), offset)) {
-    if (errno == EINVAL) {
-      // The filesystem accepted O_DIRECT at open but refuses the
-      // transfer: downgrade and serve buffered.
-      fall_back_to_buffered();
-      if (!pread_all(fds_[disk], out.data(), out.size(), offset))
-        return Status::io_error(errno_text("pread", disk_path(disk)));
-      return OkStatus();
-    }
-    return Status::io_error(errno_text("pread", disk_path(disk)));
-  }
-  if (bounce) std::memcpy(out.data(), target, out.size());
-  return OkStatus();
-}
-
-Status FileBackend::write_direct(DiskId disk, std::uint64_t offset,
-                                 std::span<const std::uint8_t> data) {
-  const std::uint8_t* source = data.data();
-  if (!pointer_aligned(source)) {
-    std::uint8_t* staged = thread_bounce().get(data.size());
-    std::memcpy(staged, source, data.size());
-    source = staged;
-  }
-  if (!pwrite_all(fds_[disk], source, data.size(), offset)) {
-    if (errno == EINVAL) {
-      fall_back_to_buffered();
-      if (!pwrite_all(fds_[disk], data.data(), data.size(), offset))
-        return Status::io_error(errno_text("pwrite", disk_path(disk)));
-      return OkStatus();
-    }
-    return Status::io_error(errno_text("pwrite", disk_path(disk)));
-  }
-  return OkStatus();
-}
-
 Status FileBackend::read(DiskId disk, std::uint64_t offset,
                          std::span<std::uint8_t> out) {
   if (Status ok = check(disk, offset, out.size()); !ok.ok()) return ok;
-  if (direct_io_active()) {
-    if (offset % kDirectAlignment == 0 && out.size() % kDirectAlignment == 0)
-      return read_direct(disk, offset, out);
-    // Misaligned offset/size cannot be fixed without read-amplifying
-    // neighbouring bytes: the documented sticky downgrade.
-    fall_back_to_buffered();
-  }
   if (!pread_all(fds_[disk], out.data(), out.size(), offset))
     return Status::io_error(errno_text("pread", disk_path(disk)));
   return OkStatus();
@@ -654,16 +506,8 @@ Status FileBackend::read(DiskId disk, std::uint64_t offset,
 Status FileBackend::write(DiskId disk, std::uint64_t offset,
                           std::span<const std::uint8_t> data) {
   if (Status ok = check(disk, offset, data.size()); !ok.ok()) return ok;
-  Status wrote;
-  if (direct_io_active() && offset % kDirectAlignment == 0 &&
-      data.size() % kDirectAlignment == 0) {
-    wrote = write_direct(disk, offset, data);
-  } else {
-    if (direct_io_active()) fall_back_to_buffered();
-    if (!pwrite_all(fds_[disk], data.data(), data.size(), offset))
-      wrote = Status::io_error(errno_text("pwrite", disk_path(disk)));
-  }
-  if (!wrote.ok()) return wrote;
+  if (!pwrite_all(fds_[disk], data.data(), data.size(), offset))
+    return Status::io_error(errno_text("pwrite", disk_path(disk)));
   if (options_.sync_on_write && ::fdatasync(fds_[disk]) != 0)
     return Status::io_error(errno_text("fdatasync", disk_path(disk)));
   return OkStatus();
@@ -689,8 +533,7 @@ Status FileBackend::discard(DiskId disk, std::uint8_t fill) {
   while (offset < geometry_.disk_bytes) {
     const std::size_t n = static_cast<std::size_t>(
         std::min<std::uint64_t>(chunk.size(), geometry_.disk_bytes - offset));
-    // Route through write() so direct-I/O staging/fallback applies to
-    // the fill too (the vector buffer is not 4096-aligned).
+    // Through write(), so sync_on_write covers the fill too.
     if (Status wrote = write(disk, offset, {chunk.data(), n}); !wrote.ok())
       return wrote;
     offset += n;

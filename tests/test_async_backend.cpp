@@ -3,10 +3,11 @@
 // coalescing correctness across unit boundaries, scheduler policy
 // ordering (incl. the rebuild-deprioritizing bounded-delay
 // anti-starvation guarantee), per-request kIoError surfacing with a
-// fault-injecting decorator wrapped INSIDE the async engine, and the
-// FileBackend O_DIRECT graceful-fallback contract.  This suite also
-// runs under TSan in CI -- the engine's queues, batch states, and
-// stats are exactly the shared state a race would live in.
+// fault-injecting decorator wrapped INSIDE the async engine, FileBackend's
+// range check holding for queued traffic, and a store served and rebuilt
+// over async-over-file.  This suite also runs under TSan in CI -- the
+// engine's queues, batch states, and stats are exactly the shared state
+// a race would live in.
 
 #include "io/async_backend.hpp"
 
@@ -15,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -112,9 +114,6 @@ TEST(AsyncBackend, BatchedMatchesSequentialOverFile) {
       make_file_backend({.directory = dir.path().string()}));
   ASSERT_TRUE(backend->open({3, 8192}).ok());
   run_differential(*backend, 3, 8192);
-  // The engine decision is observable and one of the two known values.
-  EXPECT_TRUE(backend->engine() == "io_uring" ||
-              backend->engine() == "thread-pool");
 }
 
 TEST(AsyncBackend, SynchronousSurfaceStillWorks) {
@@ -381,6 +380,30 @@ TEST(AsyncBackend, OutOfRangeDiskFailsThatRequestOnly) {
   EXPECT_EQ(out, data);
 }
 
+TEST(AsyncBackend, PastTheEndOverFileFailsAndKeepsTheImage) {
+  // The engine must answer a range wholly past a disk's end the way
+  // FileBackend's own range check does: kInvalidArgument, with the
+  // image left at its geometry size, so the directory still reopens.
+  const tests::ScratchDir dir("pdl_async_test_past_the_end");
+  constexpr std::uint64_t kDiskBytes = 8192;
+  {
+    auto backend = make_async_backend(
+        make_file_backend({.directory = dir.path().string()}));
+    ASSERT_TRUE(backend->open({2, kDiskBytes}).ok());
+    const auto data = pattern(4096, 5);
+    EXPECT_EQ(backend->write(1, kDiskBytes, data).code(),
+              StatusCode::kInvalidArgument);
+    std::vector<std::uint8_t> out(4096);
+    EXPECT_EQ(backend->read(1, kDiskBytes, out).code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(std::filesystem::file_size(dir.path() / "disk-0001.img"),
+            kDiskBytes);
+  FileBackend reopened({.directory = dir.path().string()});
+  const Status opened = reopened.open({2, kDiskBytes});
+  EXPECT_TRUE(opened.ok()) << opened.to_string();
+}
+
 // --------------------------------------------------- store-level (async)
 
 TEST(AsyncBackend, StoreServesDegradedAndRebuildsOverAsyncEngine) {
@@ -483,53 +506,16 @@ TEST(AsyncBackend, ConcurrentDriverRunStaysCanonical) {
   EXPECT_EQ(stats.read_latency_ns.size(), stats.reads);
 }
 
-// ----------------------------------------------------- FileBackend direct
-
-TEST(FileBackendDirect, RoundTripsWithGracefulFallback) {
-  const tests::ScratchDir dir("pdl_async_test_direct");
-  FileBackend backend({.directory = dir.path().string(), .direct_io = true});
-  ASSERT_TRUE(backend.open({2, 64 * 4096}).ok());
-
-  // Whatever the filesystem decided about O_DIRECT (tmpfs refuses,
-  // ext4/xfs accept), aligned I/O must round-trip; the flag only
-  // reports which mode is engaged.
-  const bool engaged = backend.direct_io_active();
-  EXPECT_EQ(backend.io_alignment(), engaged ? 4096u : 1u);
-  EXPECT_GE(backend.native_handle(0), 0);
-  EXPECT_EQ(backend.native_handle(9), -1);
-
-  const auto aligned = pattern(4096, 11);
-  ASSERT_TRUE(backend.write(0, 8192, aligned).ok());
-  std::vector<std::uint8_t> out(4096);
-  ASSERT_TRUE(backend.read(0, 8192, out).ok());
-  EXPECT_EQ(out, aligned);
-  EXPECT_EQ(backend.direct_io_active(), engaged)
-      << "aligned ops must not change the mode";
-
-  // A misaligned op triggers the sticky downgrade -- and still works.
-  const auto odd = pattern(100, 23);
-  ASSERT_TRUE(backend.write(1, 50, odd).ok());
-  EXPECT_FALSE(backend.direct_io_active());
-  EXPECT_EQ(backend.io_alignment(), 1u);
-  std::vector<std::uint8_t> odd_out(100);
-  ASSERT_TRUE(backend.read(1, 50, odd_out).ok());
-  EXPECT_EQ(odd_out, odd);
-  // The earlier aligned write is still readable after the downgrade.
-  ASSERT_TRUE(backend.read(0, 8192, out).ok());
-  EXPECT_EQ(out, aligned);
-}
-
-TEST(FileBackendDirect, AsyncOverDirectFileServesStore) {
-  // The full PR-6 stack: StripeStore -> AsyncDiskBackend -> FileBackend
-  // (direct I/O requested) with 4096-byte units, through a failure and
-  // rebuild cycle.
-  const tests::ScratchDir dir("pdl_async_test_direct_store");
+TEST(AsyncBackend, StoreOverAsyncFileServesAndRebuilds) {
+  // The full stack: StripeStore -> AsyncDiskBackend -> FileBackend with
+  // 4096-byte units, through a failure and rebuild cycle.
+  const tests::ScratchDir dir("pdl_async_test_file_store");
   auto array = api::Array::create({.num_disks = 17, .stripe_size = 5});
   ASSERT_TRUE(array.ok());
   auto store = StripeStore::create(
       std::move(array).value(), {.unit_bytes = 4096, .iterations = 1},
       make_async_backend(
-          make_file_backend({.directory = dir.path().string(), .direct_io = true})));
+          make_file_backend({.directory = dir.path().string()})));
   ASSERT_TRUE(store.ok());
 
   const std::uint64_t kSeed = 99;
