@@ -38,7 +38,6 @@
 #include "api/array.hpp"
 #include "bench_util.hpp"
 #include "io/disk_backend.hpp"
-#include "io/scrubber.hpp"
 #include "io/stripe_store.hpp"
 #include "io/workload_driver.hpp"
 
@@ -144,7 +143,7 @@ int run_recover(const std::string& dir, std::uint64_t /*seed*/, bool cache) {
   const auto inconsistent = store->verify_stripes();
   // Then a full scrub pass (verifies every checksum, adopts/heals), and
   // a second audit to prove the store is stable, not just patched.
-  const auto sweep = io::Scrubber(*store, {}).run_sweep();
+  const auto sweep = store->scrub();
   const auto after_scrub = store->verify_stripes();
 
   const bool consistent = inconsistent.ok() && inconsistent.value() == 0 &&

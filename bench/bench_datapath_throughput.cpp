@@ -63,7 +63,6 @@
 #include "engine/planner.hpp"
 #include "io/async_backend.hpp"
 #include "io/disk_backend.hpp"
-#include "io/scrubber.hpp"
 #include "io/stripe_store.hpp"
 #include "io/workload_driver.hpp"
 
@@ -429,8 +428,8 @@ bool run_scheduler_compare(const engine::LayoutPlan& plan,
 /// oracle.  Two rot flavours are seeded: persistent on-media flips
 /// (written behind the store's back -- the heal path must rewrite the
 /// unit) and one FaultInjectionBackend transient read flip (the
-/// heal-and-retry path must re-serve correct bytes).  A Scrubber sweep
-/// and verify_stripes() then prove the store is fully consistent.
+/// heal-and-retry path must re-serve correct bytes).  A full scrub()
+/// cycle and verify_stripes() then prove the store is fully consistent.
 bool run_integrity_smoke(const engine::LayoutPlan& plan,
                          const std::string& backend_kind,
                          const std::filesystem::path& scratch_dir,
@@ -495,10 +494,9 @@ bool run_integrity_smoke(const engine::LayoutPlan& plan,
   // each mismatch, reconstructs through the codec, retries.
   const std::uint64_t mismatched_units = verify_all(*store, seed);
 
-  // A paced scrub sweep and the parity re-encode audit close the loop:
+  // A full scrub cycle and the parity re-encode audit close the loop:
   // nothing left to heal, no instance inconsistent.
-  io::Scrubber scrubber(*store, {.instances_per_pass = 8});
-  const auto sweep = scrubber.run_sweep();
+  const auto sweep = store->scrub();
   const auto inconsistent = store->verify_stripes();
   const auto after = store->checksum_disks();
   const io::IntegrityStats stats = store->integrity_stats();

@@ -50,14 +50,19 @@ void run_row(const char* name, const pdl::layout::Layout& layout,
   const auto degraded = held_simulator.run(fail_disk0, requests, *fifo);
   const double healthy_read = healthy.user.read_latency_ms.mean();
   const double degraded_read = degraded.user.read_latency_ms.mean();
-  const auto analysis = sim::analyze_reconstruction(layout, 0);
+  // alpha: the busiest survivor's reads when disk 0 fails (row 0 of the
+  // layout's reconstruction matrix), over its units.
+  const auto matrix = layout::reconstruction_matrix(layout);
+  const std::uint32_t alpha_units = *std::max_element(
+      matrix.begin(), matrix.begin() + layout.num_disks());
   const std::uint64_t busiest =
       *std::max_element(idle.rebuild_reads_per_disk.begin(),
                         idle.rebuild_reads_per_disk.end());
 
   std::printf("%-22s %-6u %-7.3f %-7.3f %-10.0f %-10.0f %-11.1f %-11.1f "
               "%.2f\n",
-              name, layout.units_per_disk(), analysis.max_fraction(),
+              name, layout.units_per_disk(),
+              static_cast<double>(alpha_units) / layout.units_per_disk(),
               static_cast<double>(busiest) / layout.units_per_disk(),
               idle.rebuilds.at(0).end_ms, loaded.rebuilds.at(0).end_ms,
               healthy_read, degraded_read, degraded_read / healthy_read);

@@ -43,9 +43,6 @@ class GaloisField final : public Ring {
   /// The field characteristic p.
   [[nodiscard]] Elem characteristic() const noexcept { return p_; }
 
-  /// The extension degree m (q = p^m).
-  [[nodiscard]] std::uint32_t extension_degree() const noexcept { return m_; }
-
   /// A fixed generator of the multiplicative group F* (1 for GF(2), whose
   /// multiplicative group is trivial).
   [[nodiscard]] Elem primitive_element() const noexcept {
@@ -67,12 +64,6 @@ class GaloisField final : public Ring {
   /// The elements of the unique subfield of order k = p^d (requires d | m),
   /// sorted ascending.  subfield(q) returns the whole field.
   [[nodiscard]] std::vector<Elem> subfield(Elem k) const;
-
-  /// The modulus polynomial used to build the extension (degree m; for
-  /// m == 1 this is just x).
-  [[nodiscard]] const Polynomial& modulus_polynomial() const noexcept {
-    return modulus_;
-  }
 
  private:
   [[nodiscard]] Elem mul_slow(Elem a, Elem b) const;  // polynomial multiply

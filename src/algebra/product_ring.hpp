@@ -28,9 +28,6 @@ class ProductRing final : public Ring {
   [[nodiscard]] std::optional<Elem> inverse(Elem a) const override;
   [[nodiscard]] std::string name() const override;
 
-  [[nodiscard]] std::size_t num_components() const noexcept {
-    return components_.size();
-  }
   [[nodiscard]] const Ring& component(std::size_t i) const {
     return *components_.at(i);
   }

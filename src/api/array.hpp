@@ -293,12 +293,6 @@ class Array {
     return static_cast<std::uint64_t>(units_per_disk()) * iterations *
            unit_bytes;
   }
-  /// Widest stripe's full byte footprint at `unit_bytes` granularity
-  /// (bounds survivor-fan-in buffer sizes on the byte path).
-  [[nodiscard]] std::uint64_t max_stripe_bytes(
-      std::uint32_t unit_bytes) const noexcept {
-    return static_cast<std::uint64_t>(max_stripe_size()) * unit_bytes;
-  }
   /// Which paper construction built the layout (kExternal for adopt()).
   [[nodiscard]] core::Construction construction() const noexcept;
   /// Human-readable provenance of the layout.
@@ -330,17 +324,8 @@ class Array {
       std::uint32_t stripe) const noexcept {
     return stripe_num_data_[stripe];
   }
-  /// The stripe's parity positions in codec ordinal order (P first).
-  [[nodiscard]] const std::vector<std::uint32_t>& parity_positions(
-      std::uint32_t stripe) const noexcept {
-    return parity_positions_[stripe];
-  }
-  /// The codec unit index of a stripe position (kNoUnit for spare slots).
+  /// The codec unit index recorded for a spare slot (no codec unit).
   static constexpr std::uint32_t kNoUnit = 0xffffffffu;
-  [[nodiscard]] std::uint32_t unit_index(std::uint32_t stripe,
-                                         std::uint32_t pos) const noexcept {
-    return unit_index_[stripe][pos];
-  }
   /// Memory footprint of the compiled serving tables (Condition 4 cost).
   [[nodiscard]] std::uint64_t table_bytes() const noexcept {
     return mapper_.table_bytes();
@@ -453,11 +438,6 @@ class Array {
   /// rebuild target (kRebuilding), or immediately healthy when nothing on
   /// it is lost.  kFailedPrecondition unless the disk is kFailed.
   [[nodiscard]] Status replace_disk(DiskId disk);
-
-  /// Synonym for replace_disk (dedicated hot-spare wording).
-  [[nodiscard]] Status attach_spare(DiskId disk) {
-    return replace_disk(disk);
-  }
 
   /// The repair schedule for everything currently rebuildable: each lost
   /// unit resolves to its stripe's spare unit (distributed sparing, spare

@@ -48,6 +48,5 @@
 #include "layout/stairway.hpp"
 #include "sim/fault_timeline.hpp"
 #include "sim/rebuild_scheduler.hpp"
-#include "sim/reconstruction.hpp"
 #include "sim/scenario.hpp"
 #include "sim/workload.hpp"

@@ -78,9 +78,7 @@ Result<Fleet> Fleet::create(std::vector<ShardSpec> shards,
     auto store = io::StripeStore::create(
         std::move(spec.array),
         io::StripeStoreOptions{.unit_bytes = options.block_bytes,
-                               .iterations = spec.iterations,
-                               .lock_shards = spec.lock_shards,
-                               .cache = spec.cache},
+                               .iterations = spec.iterations},
         std::move(spec.backend));
     if (!store.ok()) return store.status();
     const std::uint64_t capacity = store.value().num_logical_units();
@@ -406,30 +404,11 @@ bool Fleet::healthy() const {
   return true;
 }
 
-Result<io::HotnessStats> Fleet::shard_hotness(std::uint32_t shard) const {
-  std::shared_lock<std::shared_mutex> lock(sync_->map);
-  if (shard >= stores_.size())
-    return Status::out_of_range("shard " + std::to_string(shard) +
-                                " past the fleet's " +
-                                std::to_string(stores_.size()) + " shards");
-  return stores_[shard]->hotness_stats();
-}
-
-std::vector<io::HotnessStats> Fleet::hotness_report() const {
-  std::shared_lock<std::shared_mutex> lock(sync_->map);
-  std::vector<io::HotnessStats> report;
-  report.reserve(stores_.size());
-  for (const auto& store : stores_) report.push_back(store->hotness_stats());
-  return report;
-}
-
 Result<std::uint32_t> Fleet::attach_shard(ShardSpec spec) {
   auto store = io::StripeStore::create(
       std::move(spec.array),
       io::StripeStoreOptions{.unit_bytes = block_bytes_,
-                             .iterations = spec.iterations,
-                             .lock_shards = spec.lock_shards,
-                             .cache = spec.cache},
+                             .iterations = spec.iterations},
       std::move(spec.backend));
   if (!store.ok()) return store.status();
   if (store.value().num_logical_units() == 0)

@@ -88,10 +88,6 @@ using layout::DiskId;
 struct ShardSpec {
   api::Array array;               ///< layout + codec + sparing choice
   std::uint32_t iterations = 1;   ///< vertical tilings (capacity knob)
-  std::uint32_t lock_shards = 64; ///< stripe-lock pool of the shard store
-  /// Hot-stripe cache knobs of the shard store (disabled by default;
-  /// a runtime choice, so not persisted by serialize()).
-  io::StripeCacheOptions cache = {};
   /// Storage substrate; null means a fresh MemoryBackend.
   std::unique_ptr<io::DiskBackend> backend = nullptr;
 };
@@ -267,17 +263,6 @@ class Fleet final : public io::BlockTarget {
 
   /// True when every shard is fully healthy.
   [[nodiscard]] bool healthy() const;
-
-  /// One shard's hot-stripe cache counters (all zero when that shard's
-  /// cache is disabled).  kOutOfRange past num_shards().
-  [[nodiscard]] Result<io::HotnessStats> shard_hotness(
-      std::uint32_t shard) const;
-
-  /// shard_hotness for every shard, indexed by shard id -- the skew
-  /// evidence a foreground-protecting governor policy wants: a shard
-  /// whose hit + absorb counters are climbing is serving the hot set,
-  /// so its rebuild appetite is the one worth throttling.
-  [[nodiscard]] std::vector<io::HotnessStats> hotness_report() const;
 
   /// The shared rebuild-bandwidth budget (stats, policy inspection).
   [[nodiscard]] RebuildGovernor& governor() noexcept { return *governor_; }

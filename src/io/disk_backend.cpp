@@ -39,16 +39,6 @@ Status check_range(std::string_view backend, DiskId disk,
 
 }  // namespace detail
 
-std::string_view io_class_name(IoClass io_class) noexcept {
-  switch (io_class) {
-    case IoClass::kForegroundRead: return "fg-read";
-    case IoClass::kForegroundWrite: return "fg-write";
-    case IoClass::kRebuild: return "rebuild";
-    case IoClass::kScrub: return "scrub";
-  }
-  return "?";
-}
-
 Status DiskBackend::execute_batch(std::span<IoRequest> batch) {
   // Sequential reference semantics: every backend is batched-capable.
   // Failed requests do not abort their batchmates (they are independent

@@ -86,9 +86,6 @@ enum class IoClass : std::uint8_t {
   kScrub = 3,            ///< background verification sweeps
 };
 
-/// Human-readable class name ("fg-read", "rebuild", ...).
-[[nodiscard]] std::string_view io_class_name(IoClass io_class) noexcept;
-
 /// One element of a batched submission: a read into `read_buf` or a
 /// write of `write_buf` at (disk, offset), tagged with a traffic class.
 /// `status` is written on completion.  The request -- and both buffers --

@@ -16,6 +16,9 @@ namespace {
 /// failed disk shows up as garbage, not as stale-but-plausible data.
 constexpr std::uint8_t kPoison = 0xDD;
 
+/// Stripe-instance lock pool size: instance i takes lock i % 64.
+constexpr std::uint32_t kLockShards = 64;
+
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
@@ -333,7 +336,7 @@ StripeStore::StripeStore(api::Array array, const StripeStoreOptions& options,
       unit_bytes_(options.unit_bytes),
       iterations_(options.iterations),
       backend_(std::move(backend)),
-      sync_(std::make_unique<Sync>(std::max(1u, options.lock_shards))) {}
+      sync_(std::make_unique<Sync>(kLockShards)) {}
 
 Result<StripeStore> StripeStore::create(api::Array array,
                                         const StripeStoreOptions& options,

@@ -127,8 +127,6 @@ struct StripeStoreOptions {
   std::uint32_t unit_bytes = 4096;
   /// Vertical layout repetitions per disk (disk capacity multiplier).
   std::uint32_t iterations = 1;
-  /// Stripe-instance lock pool size (power of parallelism vs memory).
-  std::uint32_t lock_shards = 64;
   /// Workload-aware cache layer (hotness tracking, hot-unit read cache,
   /// parity-delta write batching).  Off by default; see
   /// docs/ARCHITECTURE.md "Caching and write batching".
@@ -164,15 +162,6 @@ struct WriteReceipt {
   /// First num_writes are valid: the data unit and every maintained
   /// parity (one under XOR, up to api::kMaxParityUnits under RS).
   std::array<Physical, 1 + api::kMaxParityUnits> writes;
-
-  /// Units read for parity maintenance, over the inline storage.
-  [[nodiscard]] std::span<const Physical> read_units() const noexcept {
-    return {reads.data(), num_reads};
-  }
-  /// Units physically written, over the inline storage.
-  [[nodiscard]] std::span<const Physical> written_units() const noexcept {
-    return {writes.data(), num_writes};
-  }
 };
 
 /// The byte-serving engine: one api::Array (layout + online state) bound
@@ -341,8 +330,9 @@ class StripeStore {
   /// a checksum over their current bytes.  Torn instances are skipped
   /// (a successful write heals them); unhealable instances (rot beyond
   /// the codec's tolerance) are counted and left for rebuild.  A no-op
-  /// (empty report) when integrity is off.  Thread-safe; pace it from a
-  /// scrubber thread (io::Scrubber) or a fleet's governed driver.
+  /// (empty report) when integrity is off.  Thread-safe and unpaced;
+  /// fleet::Fleet::scrub_some is the driver that charges each slice to
+  /// a rebuild-bandwidth governor.
   [[nodiscard]] Result<ScrubReport> scrub_some(std::uint64_t max_instances);
 
   /// One full scrub cycle: every stripe instance swept exactly once.
@@ -366,17 +356,6 @@ class StripeStore {
   /// Snapshot of the cache layer's counters (all zero when disabled).
   [[nodiscard]] HotnessStats hotness_stats() const noexcept {
     return cache_ ? cache_->stats() : HotnessStats{};
-  }
-
-  /// Current count-min hotness estimate of one stripe instance (an
-  /// upper bound on its recent foreground accesses; 0 when the cache
-  /// layer is off).  The fleet tier aggregates this per shard for the
-  /// governor's foreground-protecting policy.
-  [[nodiscard]] std::uint32_t hotness(std::uint32_t stripe,
-                                      std::uint64_t iteration) const noexcept {
-    return cache_ ? cache_->estimate(stripe +
-                                     iteration * array_.num_stripes())
-                  : 0;
   }
 
   /// Folds every dirty stripe instance's batched parity deltas (and

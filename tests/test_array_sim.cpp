@@ -6,11 +6,11 @@
 #include <gtest/gtest.h>
 
 #include "api/array.hpp"
+#include "layout/metrics.hpp"
 #include "layout/raid.hpp"
 #include "layout/ring_layout.hpp"
 #include "layout/sparing.hpp"
 #include "sim/fault_timeline.hpp"
-#include "sim/reconstruction.hpp"
 #include "sim/rebuild_scheduler.hpp"
 #include "sim/scenario.hpp"
 
@@ -130,17 +130,20 @@ TEST(ArraySim, DegradedModeNeverTouchesFailedDisk) {
   EXPECT_EQ(user_accesses(result)[3], 0u);
 }
 
-TEST(ArraySim, RebuildCompletesAndCountsMatchAnalysis) {
+TEST(ArraySim, RebuildCompletesAndCountsMatchReconstructionMatrix) {
   const auto layout = layout::ring_based_layout(5, 3);
   const auto result = run_rebuild(plain(layout), {}, /*failed=*/1, 4);
 
-  const auto analysis = analyze_reconstruction(layout, 1);
+  // Row 1 of the matrix: what each survivor reads when disk 1 fails.
+  const auto matrix = layout::reconstruction_matrix(layout);
+  std::uint64_t total_reads = 0;
+  for (layout::DiskId d = 0; d < 5; ++d) total_reads += matrix[5 + d];
   // One job per stripe crossing disk 1; each reads k-1 = 2 survivors.
   ASSERT_EQ(result.rebuilds.size(), 1u);
-  EXPECT_EQ(result.rebuilds[0].stripes_rebuilt, analysis.total_units / 2);
+  EXPECT_EQ(result.rebuilds[0].stripes_rebuilt, total_reads / 2);
   EXPECT_GT(result.rebuilds[0].end_ms, 0.0);
   for (layout::DiskId d = 0; d < 5; ++d) {
-    EXPECT_EQ(result.rebuild_reads_per_disk[d], analysis.units_to_read[d])
+    EXPECT_EQ(result.rebuild_reads_per_disk[d], matrix[5 + d])
         << "disk " << d;
   }
 }

@@ -34,8 +34,7 @@ Result<StripeStore> make_store(
                                   {.sparing = sparing, .codec = codec});
   if (!array.ok()) return array.status();
   return StripeStore::create(std::move(array).value(),
-                             {.unit_bytes = 64, .iterations = 2,
-                              .lock_shards = 16});
+                             {.unit_bytes = 64, .iterations = 2});
 }
 
 TEST(DatapathConcurrent, ParallelReadersSeeCanonicalBytes) {

@@ -16,7 +16,6 @@
 #include "layout/ring_layout.hpp"
 #include "layout/sparing.hpp"
 #include "sim/fault_timeline.hpp"
-#include "sim/reconstruction.hpp"
 #include "sim/rebuild_scheduler.hpp"
 #include "sim/scenario.hpp"
 
@@ -85,16 +84,19 @@ TEST(FaultTimeline, RandomIsDeterministicAndBounded) {
   EXPECT_NE(a.failures(), c.failures());
 }
 
-TEST(Scenario, SingleFailureMatchesReconstructionAnalysis) {
+TEST(Scenario, SingleFailureMatchesReconstructionMatrix) {
   const auto layout = layout::ring_based_layout(9, 3);
   const ScenarioSimulator sim(adopt(layout), config_with());
   const auto fifo = make_fifo_scheduler();
   const auto result =
       sim.run(FaultTimeline::scripted({{0.0, 2}}), {}, *fifo);
 
-  const auto analysis = analyze_reconstruction(layout, 2);
+  // Row 2 of the matrix: what each survivor reads when disk 2 fails.
+  const auto matrix = layout::reconstruction_matrix(layout);
+  std::uint64_t total_reads = 0;
+  for (layout::DiskId d = 0; d < 9; ++d) total_reads += matrix[2 * 9 + d];
   // Every stripe crossing disk 2 is rebuilt once.
-  const std::uint64_t crossing = analysis.total_units / 2;  // k-1 reads each
+  const std::uint64_t crossing = total_reads / 2;  // k-1 reads each
   ASSERT_EQ(result.rebuilds.size(), 1u);
   EXPECT_EQ(result.rebuilds[0].disk, 2u);
   EXPECT_EQ(result.rebuilds[0].stripes_rebuilt, crossing);
@@ -103,7 +105,7 @@ TEST(Scenario, SingleFailureMatchesReconstructionAnalysis) {
   EXPECT_EQ(result.stripe_instances_lost, 0u);
 
   for (layout::DiskId d = 0; d < 9; ++d) {
-    EXPECT_EQ(result.rebuild_reads_per_disk[d], analysis.units_to_read[d])
+    EXPECT_EQ(result.rebuild_reads_per_disk[d], matrix[2 * 9 + d])
         << "disk " << d;
   }
   // Dedicated mode: every rebuilt unit is written in place on the failed

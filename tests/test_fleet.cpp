@@ -138,9 +138,6 @@ TEST(Fleet, ArrayGeometryObserversMatchStoreDerivations) {
               store.logical_bytes());
     EXPECT_EQ(array.disk_bytes(store.unit_bytes(), store.iterations()),
               store.disk_bytes());
-    EXPECT_EQ(array.max_stripe_bytes(store.unit_bytes()),
-              static_cast<std::uint64_t>(array.max_stripe_size()) *
-                  store.unit_bytes());
   }
 }
 

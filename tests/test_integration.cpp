@@ -88,11 +88,10 @@ TEST(Integration, RebuildSimulationMatchesRecoveryPlanReadCounts) {
   ASSERT_TRUE(state.replace_disk(failed).ok());
   const auto plan = state.plan_rebuild();
   ASSERT_TRUE(plan.ok());
-  const auto analysis =
-      sim::analyze_reconstruction(array->layout(), failed);
+  const auto matrix = layout::reconstruction_matrix(array->layout());
   for (layout::DiskId d = 0; d < 9; ++d) {
     EXPECT_EQ(rebuild.rebuild_reads_per_disk[d], plan->reads_per_disk[d]);
-    EXPECT_EQ(plan->reads_per_disk[d], analysis.units_to_read[d]);
+    EXPECT_EQ(plan->reads_per_disk[d], matrix[failed * 9 + d]);
   }
 }
 

@@ -1,61 +1,55 @@
-#include "sim/reconstruction.hpp"
+// Condition 3's reconstruction workload, read from the layout structure
+// alone: reconstruction_matrix gives the units each survivor reads to
+// rebuild a failed disk, and compute_metrics the extreme fractions over
+// every (failed, survivor) pair.
 
 #include <gtest/gtest.h>
 
+#include "layout/metrics.hpp"
 #include "layout/raid.hpp"
 #include "layout/ring_layout.hpp"
 #include "layout/stairway.hpp"
 
-namespace pdl::sim {
+namespace pdl::layout {
 namespace {
 
 TEST(Reconstruction, RingLayoutReadsExactFraction) {
-  const auto layout = layout::ring_based_layout(9, 3);
-  const auto analysis = analyze_reconstruction(layout, 4);
-  EXPECT_EQ(analysis.failed, 4u);
-  EXPECT_EQ(analysis.units_per_disk, 24u);
-  EXPECT_EQ(analysis.units_to_read[4], 0u);
-  // Every survivor reads lambda = k(k-1) = 6 units = (k-1)/(v-1) of itself.
-  for (layout::DiskId d = 0; d < 9; ++d) {
-    if (d == 4) continue;
-    EXPECT_EQ(analysis.units_to_read[d], 6u);
+  const auto layout = ring_based_layout(9, 3);
+  ASSERT_EQ(layout.units_per_disk(), 24u);
+  const auto matrix = reconstruction_matrix(layout);
+  // Disk 4 fails: every survivor reads lambda = k(k-1) = 6 units =
+  // (k-1)/(v-1) of itself.
+  std::uint64_t total = 0;
+  for (DiskId d = 0; d < 9; ++d) {
+    EXPECT_EQ(matrix[4 * 9 + d], d == 4 ? 0u : 6u) << "disk " << d;
+    total += matrix[4 * 9 + d];
   }
-  EXPECT_DOUBLE_EQ(analysis.max_fraction(), 2.0 / 8.0);
-  EXPECT_DOUBLE_EQ(analysis.min_fraction(), 2.0 / 8.0);
-  EXPECT_EQ(analysis.total_units, 8u * 6u);
+  EXPECT_EQ(total, 8u * 6u);
+  const LayoutMetrics metrics = compute_metrics(layout);
+  EXPECT_DOUBLE_EQ(metrics.max_recon_workload, 2.0 / 8.0);
+  EXPECT_DOUBLE_EQ(metrics.min_recon_workload, 2.0 / 8.0);
 }
 
 TEST(Reconstruction, Raid5ReadsWholeArray) {
-  const auto layout = layout::raid5_layout(5, 10);
-  const auto analysis = analyze_reconstruction(layout, 0);
-  EXPECT_DOUBLE_EQ(analysis.max_fraction(), 1.0);
-  EXPECT_DOUBLE_EQ(analysis.min_fraction(), 1.0);
-}
-
-TEST(Reconstruction, ReadBoundScalesWithMaxUnits) {
-  const auto layout = layout::ring_based_layout(9, 3);
-  const auto analysis = analyze_reconstruction(layout, 0);
-  const DiskParams disk{10.0, 2.0};
-  EXPECT_DOUBLE_EQ(analysis.read_bound_ms(disk), 6 * 12.0);
+  const LayoutMetrics metrics = compute_metrics(raid5_layout(5, 10));
+  EXPECT_DOUBLE_EQ(metrics.max_recon_workload, 1.0);
+  EXPECT_DOUBLE_EQ(metrics.min_recon_workload, 1.0);
 }
 
 TEST(Reconstruction, WorstCaseOverAllFailures) {
-  const auto ring = layout::ring_based_layout(9, 3);
-  EXPECT_DOUBLE_EQ(worst_case_reconstruction_fraction(ring), 0.25);
-  const auto raid5 = layout::raid5_layout(9, 9);
-  EXPECT_DOUBLE_EQ(worst_case_reconstruction_fraction(raid5), 1.0);
+  EXPECT_DOUBLE_EQ(compute_metrics(ring_based_layout(9, 3)).max_recon_workload,
+                   0.25);
+  EXPECT_DOUBLE_EQ(compute_metrics(raid5_layout(9, 9)).max_recon_workload,
+                   1.0);
 }
 
 TEST(Reconstruction, StairwayWithinTheoremBounds) {
-  const auto plan = layout::plan_stairway(9, 12, 3);
+  const auto plan = plan_stairway(9, 12, 3);
   ASSERT_TRUE(plan.has_value());
-  const auto layout = layout::build_stairway_layout(
-      design::make_ring_design(9, 3), *plan);
-  for (layout::DiskId f = 0; f < 12; ++f) {
-    const auto analysis = analyze_reconstruction(layout, f);
-    EXPECT_LE(analysis.max_fraction(), plan->recon_workload_hi() + 1e-12);
-    EXPECT_GE(analysis.min_fraction(), plan->recon_workload_lo() - 1e-12);
-  }
+  const LayoutMetrics metrics = compute_metrics(
+      build_stairway_layout(design::make_ring_design(9, 3), *plan));
+  EXPECT_LE(metrics.max_recon_workload, plan->recon_workload_hi() + 1e-12);
+  EXPECT_GE(metrics.min_recon_workload, plan->recon_workload_lo() - 1e-12);
 }
 
 TEST(Reconstruction, DeclusteringRatioDrivesTheFraction) {
@@ -63,18 +57,13 @@ TEST(Reconstruction, DeclusteringRatioDrivesTheFraction) {
   // read from each survivor.  Check monotonicity in k at fixed v.
   double last = 0.0;
   for (const std::uint32_t k : {2u, 3u, 5u, 7u, 9u}) {
-    const auto layout = layout::ring_based_layout(13, k);
-    const double f = worst_case_reconstruction_fraction(layout);
+    const double f =
+        compute_metrics(ring_based_layout(13, k)).max_recon_workload;
     EXPECT_DOUBLE_EQ(f, static_cast<double>(k - 1) / 12.0);
     EXPECT_GT(f, last);
     last = f;
   }
 }
 
-TEST(Reconstruction, BadDiskRejected) {
-  const auto layout = layout::raid5_layout(4, 4);
-  EXPECT_THROW(analyze_reconstruction(layout, 4), std::invalid_argument);
-}
-
 }  // namespace
-}  // namespace pdl::sim
+}  // namespace pdl::layout

@@ -1,6 +1,5 @@
-// The rate-limited scrub path: StripeStore's cursor-driven scrub
-// slices, the io::Scrubber driver (paced passes, full sweeps, the
-// background thread), and the fleet tier's governed scrub.  The suite
+// The scrub path's two drivers: StripeStore's cursor-driven scrub
+// slices (unpaced) and the fleet tier's governed scrub.  The suite
 // pins:
 //
 //   * scrub_some advances a round-robin cursor in slices whose report
@@ -8,11 +7,9 @@
 //     stripe instance once;
 //   * a scrub cycle detects and heals seeded on-media rot, leaving the
 //     media checksum-identical to the pre-rot oracle;
-//   * Scrubber::run_pass calls the pacer's acquire with the pass's
-//     byte estimate BEFORE scrubbing and refunds the unused remainder;
-//     run_sweep aggregates passes; totals and pass counts accumulate;
-//   * the background sweeper thread makes progress and stops cleanly
-//     (start/stop idempotence included);
+//   * scrub cycles looping beside a verifying read/write workload heal
+//     seeded rot under XOR and RS with no read ever seeing wrong bytes
+//     and every instance's parity consistent afterwards;
 //   * Fleet::scrub_some charges the shared RebuildGovernor as scrub
 //     (scrub_grants / scrub_granted_bytes move, and only for the
 //     scrubbed shard); scrub_all sweeps every integrity shard and
@@ -22,7 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <chrono>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -32,7 +29,6 @@
 #include "fleet/fleet.hpp"
 #include "fleet/governor.hpp"
 #include "io/disk_backend.hpp"
-#include "io/scrubber.hpp"
 #include "io/stripe_store.hpp"
 #include "io/workload_driver.hpp"
 
@@ -45,10 +41,10 @@ constexpr std::uint32_t kUnitBytes = 64;
 constexpr std::uint32_t kIterations = 2;
 constexpr std::uint64_t kSeed = 0x5C12B;
 
-Result<StripeStore> make_store(bool integrity) {
+Result<StripeStore> make_store(
+    bool integrity, core::CodecKind codec = core::CodecKind::kXorParity) {
   auto array = api::Array::create(
-      {kV, kK}, {},
-      {.codec = core::CodecKind::kXorParity, .integrity = integrity});
+      {kV, kK}, {}, {.codec = codec, .integrity = integrity});
   EXPECT_TRUE(array.ok()) << array.status().to_string();
   if (!array.ok()) return array.status();
   return StripeStore::create(
@@ -120,79 +116,49 @@ TEST(Scrub, NonIntegrityStoreYieldsEmptyReports) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->instances, 0u);
 
-  Scrubber scrubber(*store, {});
-  const auto sweep = scrubber.run_sweep();
-  ASSERT_TRUE(sweep.ok());
-  EXPECT_EQ(sweep->instances, 0u);
+  const auto cycle = store->scrub();
+  ASSERT_TRUE(cycle.ok());
+  EXPECT_EQ(cycle->instances, 0u);
 }
 
-TEST(Scrubber, PassAcquiresEstimateAndRefundsUnused) {
-  auto store = make_store(true);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(
-      fill_canonical(*store, 0, store->num_logical_units(), kSeed).ok());
+TEST(Scrub, CyclesBesideForegroundTrafficHealRot) {
+  for (const core::CodecKind codec :
+       {core::CodecKind::kXorParity, core::CodecKind::kReedSolomonPQ}) {
+    SCOPED_TRACE(core::codec_kind_name(codec));
+    auto store = make_store(true, codec);
+    ASSERT_TRUE(store.ok());
+    const std::uint64_t n = store->num_logical_units();
+    ASSERT_TRUE(fill_canonical(*store, 0, n, kSeed).ok());
+    // Four units a quarter of the address space apart, so no two share
+    // a stripe instance and XOR can heal each one.
+    for (std::uint64_t q = 0; q < 4; ++q)
+      rot_unit(*store, store->array().map(q * n / 4));
 
-  std::vector<std::uint64_t> acquired;
-  std::vector<std::uint64_t> refunded;
-  Scrubber scrubber(*store,
-                    {.instances_per_pass = 4,
-                     .pacer = {.acquire = [&](std::uint64_t bytes) {
-                                 acquired.push_back(bytes);
-                               },
-                               .refund = [&](std::uint64_t bytes) {
-                                 refunded.push_back(bytes);
-                               }}});
-  const std::uint64_t per_instance =
-      store->array().max_stripe_bytes(store->unit_bytes());
+    std::atomic<bool> done{false};
+    std::uint64_t failed_cycles = 0;
+    std::thread scrubber([&] {
+      do {
+        const auto cycle = store->scrub();
+        if (!cycle.ok() || cycle->unhealable != 0) ++failed_cycles;
+      } while (!done);
+    });
+    WorkloadDriver driver(*store, {.num_threads = 4,
+                                   .ops_per_thread = 4000,
+                                   .read_fraction = 0.7,
+                                   .seed = kSeed,
+                                   .verify_reads = true});
+    const WorkloadStats stats = driver.run();
+    done = true;
+    scrubber.join();
 
-  const auto pass = scrubber.run_pass();
-  ASSERT_TRUE(pass.ok());
-  EXPECT_EQ(pass->instances, 4u);
-  ASSERT_EQ(acquired.size(), 1u);
-  EXPECT_EQ(acquired[0], 4 * per_instance);
-  // A full slice uses its whole estimate: nothing to refund.
-  EXPECT_TRUE(refunded.empty());
-  EXPECT_EQ(scrubber.passes(), 1u);
-  EXPECT_EQ(scrubber.total().instances, 4u);
-
-  // A sweep issues ceil(instances / 4) paced passes, each acquiring.
-  const auto sweep = scrubber.run_sweep();
-  ASSERT_TRUE(sweep.ok());
-  EXPECT_EQ(sweep->instances, instances_of(*store));
-  const std::uint64_t expected_passes =
-      (instances_of(*store) + 3) / 4;
-  EXPECT_EQ(acquired.size(), 1 + expected_passes);
-  EXPECT_EQ(scrubber.passes(), 1 + expected_passes);
-  EXPECT_TRUE(scrubber.last_error().ok());
-}
-
-TEST(Scrubber, BackgroundSweeperMakesProgressAndStopsCleanly) {
-  auto store = make_store(true);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(
-      fill_canonical(*store, 0, store->num_logical_units(), kSeed).ok());
-
-  Scrubber scrubber(*store,
-                    {.instances_per_pass = 8, .pass_interval_us = 100});
-  EXPECT_FALSE(scrubber.running());
-  scrubber.start();
-  scrubber.start();  // idempotent
-  EXPECT_TRUE(scrubber.running());
-
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (scrubber.passes() < 3 &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_GE(scrubber.passes(), 3u);
-  EXPECT_GT(scrubber.total().instances, 0u);
-
-  scrubber.stop();
-  scrubber.stop();  // idempotent
-  EXPECT_FALSE(scrubber.running());
-  EXPECT_TRUE(scrubber.last_error().ok());
-  // The cursor kept wrapping; the store counted every swept instance.
-  EXPECT_GE(store->integrity_stats().scrubbed, scrubber.total().instances);
+    EXPECT_EQ(failed_cycles, 0u);
+    EXPECT_EQ(stats.verify_failures, 0u);
+    EXPECT_EQ(stats.errors, 0u);
+    EXPECT_GE(store->integrity_stats().healed, 4u);
+    const auto inconsistent = store->verify_stripes();
+    ASSERT_TRUE(inconsistent.ok());
+    EXPECT_EQ(*inconsistent, 0u);
+  }
 }
 
 // ------------------------------------------------------- fleet scrub
