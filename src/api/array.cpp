@@ -452,6 +452,35 @@ const StripeUnit& Array::cur_unit(std::uint32_t stripe,
   return st.units[pos];
 }
 
+std::uint64_t Array::decode_reads(std::uint32_t stripe,
+                                  std::uint32_t pos) const noexcept {
+  const auto width = static_cast<std::uint32_t>(
+      layout().stripes()[stripe].units.size());
+  const std::uint64_t all = width == 64 ? ~0ull : (1ull << width) - 1;
+  const std::uint64_t gone = lost_mask_[stripe] | (1ull << pos);
+  std::uint64_t reads = all & ~parity_mask_[stripe] & ~gone;
+  if (spared_) reads &= ~(1ull << spared_->spare_pos[stripe]);
+  auto need = stripe_num_data_[stripe] -
+              static_cast<std::uint32_t>(std::popcount(reads));
+  for (const std::uint32_t pp : parity_positions_[stripe]) {
+    if (need == 0) break;
+    if ((gone >> pp) & 1) continue;
+    reads |= 1ull << pp;
+    --need;
+  }
+  return reads;
+}
+
+std::uint32_t Array::erase_unread(std::uint32_t stripe, std::uint32_t pos,
+                                  std::uint64_t reads,
+                                  std::span<std::uint32_t> erased,
+                                  std::uint32_t num_erased) const noexcept {
+  for (const std::uint32_t pp : parity_positions_[stripe])
+    if (pp != pos && !is_lost(stripe, pp) && !((reads >> pp) & 1))
+      erased[num_erased++] = unit_index_[stripe][pp];
+  return num_erased;
+}
+
 Result<ReadPlan> Array::locate(std::uint64_t logical,
                                std::span<Physical> survivors,
                                std::span<std::uint32_t> survivor_index) const {
@@ -473,18 +502,14 @@ Result<ReadPlan> Array::locate(std::uint64_t logical,
     return plan;
   }
 
-  // Degraded read: the survivor set is every other surviving content
-  // unit of the stripe, at its current (redirect-aware) home -- the units
-  // a reconstruction on the fly reads.  Under
-  // a multi-parity codec other units may be lost too; they are excluded
-  // here and reported through erased_index for the decode.
+  // Degraded read: the survivor set is the units a decode reads, at
+  // their current (redirect-aware) homes -- every surviving data unit,
+  // then surviving parities in ordinal order up to num_data units (see
+  // decode_reads).  Other lost units, then the parities left unread,
+  // are reported through erased_index for the decode.
   const Stripe& st = layout().stripes()[ref.stripe];
-  std::uint32_t count = 0;
-  for (std::uint32_t p = 0; p < st.units.size(); ++p) {
-    if (p == ref.pos || !is_content(ref.stripe, p)) continue;
-    if (is_lost(ref.stripe, p)) continue;
-    ++count;
-  }
+  const std::uint64_t reads = decode_reads(ref.stripe, ref.pos);
+  const auto count = static_cast<std::uint32_t>(std::popcount(reads));
   if (survivors.size() < count)
     return Status::invalid_argument(
         "survivor span holds " + std::to_string(survivors.size()) +
@@ -503,11 +528,14 @@ Result<ReadPlan> Array::locate(std::uint64_t logical,
       plan.erased_index[plan.num_erased++] = unit_index_[ref.stripe][p];
       continue;
     }
+    if (!((reads >> p) & 1)) continue;
     const StripeUnit& u = cur_unit(ref.stripe, p);
     if (!survivor_index.empty())
       survivor_index[i] = unit_index_[ref.stripe][p];
     survivors[i++] = {u.disk, lift + u.offset};
   }
+  plan.num_erased = erase_unread(ref.stripe, ref.pos, reads,
+                                 plan.erased_index, plan.num_erased);
   plan.kind = ReadPlan::Kind::kDegraded;
   plan.num_survivors = count;
   return plan;
@@ -754,19 +782,23 @@ Result<RebuildPlan> Array::plan_rebuild() const {
       step.target_index = unit_index_[si][pos];
       step.erased_index[step.num_erased++] = step.target_index;
       const Stripe& st = stripes[si];
-      step.reads.reserve(st.units.size() - 1);
-      step.read_indices.reserve(st.units.size() - 1);
+      const std::uint64_t reads = decode_reads(si, pos);
+      step.reads.reserve(static_cast<std::size_t>(std::popcount(reads)));
+      step.read_indices.reserve(step.reads.capacity());
       for (std::uint32_t p = 0; p < st.units.size(); ++p) {
         if (p == pos || !is_content(si, p)) continue;
         if (is_lost(si, p)) {
           step.erased_index[step.num_erased++] = unit_index_[si][p];
           continue;
         }
+        if (!((reads >> p) & 1)) continue;
         const StripeUnit& u = cur_unit(si, p);
         step.reads.push_back({u.disk, u.offset});
         step.read_indices.push_back(unit_index_[si][p]);
         ++plan.reads_per_disk[u.disk];
       }
+      step.num_erased =
+          erase_unread(si, pos, reads, step.erased_index, step.num_erased);
       ++plan.writes_per_disk[target->disk];
       plan.steps.push_back(std::move(step));
     }

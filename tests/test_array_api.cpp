@@ -525,8 +525,11 @@ TEST(ArrayPersistence, MalformedInputsAreTypedErrors) {
 // from the layout alone.  A logical's unit is found through the layout's
 // occupancy at its physical home; the stripe's content units are all its
 // units but the spare slot; a survivor is a content unit on a disk that
-// has not failed; and a read of a lost unit is unrecoverable once more
-// than num_parity_units() content units of its stripe are lost.  The sweep
+// has not failed; a degraded read reads every surviving data unit, then
+// surviving parities in ordinal order (P, then the extra parities
+// walking cyclically from the parity position past the spare) until it
+// holds num_data units; and a read of a lost unit is unrecoverable once
+// more than num_parity_units() content units of its stripe are lost.  The sweep
 // runs every logical of every construction the planner ranks at (17, 5),
 // in both sparing modes, under one and two failures, plus RAID5 at (8, 8)
 // and one Reed-Solomon array.  One wiring check then runs the scenario
@@ -559,16 +562,37 @@ OracleRead oracle_read(const Array& array, std::uint64_t logical,
   const layout::Stripe& stripe = array.layout().stripes()[occupant.stripe];
   const auto& spares = array.spare_positions();
 
+  const auto width = static_cast<std::uint32_t>(stripe.units.size());
+  const auto is_spare = [&](std::uint32_t p) {
+    return !spares.empty() && p == spares[occupant.stripe];
+  };
+  std::vector<std::uint32_t> parities = {stripe.parity_pos};
+  for (std::uint32_t step = 1;
+       parities.size() < array.num_parity_units() && step < width; ++step)
+    if (!is_spare((stripe.parity_pos + step) % width))
+      parities.push_back((stripe.parity_pos + step) % width);
+  const auto is_parity = [&](std::uint32_t p) {
+    return std::find(parities.begin(), parities.end(), p) != parities.end();
+  };
+
   OracleRead read;
   std::uint32_t lost = 0;
-  for (std::uint32_t p = 0; p < stripe.units.size(); ++p) {
-    if (!spares.empty() && p == spares[occupant.stripe]) continue;
+  std::uint32_t content = 0;
+  for (std::uint32_t p = 0; p < width; ++p) {
+    if (is_spare(p)) continue;
+    ++content;
     const layout::StripeUnit& unit = stripe.units[p];
     if (is_failed(unit.disk)) {
       ++lost;
-    } else if (p != occupant.pos) {
+    } else if (p != occupant.pos && !is_parity(p)) {
       read.units.push_back({unit.disk, unit.offset});
     }
+  }
+  const std::uint32_t num_data = content - array.num_parity_units();
+  for (const std::uint32_t p : parities) {
+    if (read.units.size() >= num_data) break;
+    const layout::StripeUnit& unit = stripe.units[p];
+    if (!is_failed(unit.disk)) read.units.push_back({unit.disk, unit.offset});
   }
   if (!is_failed(home.disk)) {
     read.units = {home};
@@ -721,6 +745,174 @@ TEST(ArrayDifferential, RedirectedUnitsStayConsistentWithGeometry) {
       found = Physical{spare_unit.disk, spare_unit.offset} == read->target;
     }
     EXPECT_TRUE(found) << "logical " << l;
+  }
+}
+
+
+// ----------------------------------------------------- minimal decode sets
+//
+// plan_rebuild and locate list only the survivors a decode reads: every
+// surviving data unit, then surviving parities in ordinal order (P
+// before Q) until num_data units are listed.  The survivors left unread
+// join the erased set.  Checked against Array::stripe_units, which lists
+// a stripe's content units in codec order with their lost flags.
+
+/// One decode's reads against the rule.  `all_reads` accumulates, per
+/// disk, the reads the decode would make with every survivor read.
+void expect_minimal_decode(const Array& array, std::uint32_t stripe,
+                           std::uint32_t target_index,
+                           std::span<const Physical> reads,
+                           std::span<const std::uint32_t> read_index,
+                           std::uint32_t num_erased,
+                           std::vector<std::uint32_t>& all_reads) {
+  std::array<Array::StripeUnitStatus, 64> units;
+  const auto width = array.stripe_units(stripe, units);
+  ASSERT_TRUE(width.ok());
+  const std::uint32_t num_data = array.stripe_data_units(stripe);
+  std::vector<std::uint32_t> want;  // surviving data, then parities
+  std::uint32_t survivors = 0;
+  for (std::uint32_t u = 0; u < *width; ++u) {
+    if (u == target_index || units[u].lost) continue;
+    ++survivors;
+    ++all_reads[units[u].unit.disk];
+    if (u < num_data || want.size() < num_data) want.push_back(u);
+  }
+  EXPECT_EQ(reads.size(), std::min(num_data, survivors));
+  EXPECT_EQ(reads.size() + num_erased, *width);
+  ASSERT_EQ(read_index.size(), reads.size());
+  std::vector<std::uint32_t> got(read_index.begin(), read_index.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
+  for (std::size_t i = 0; i < reads.size(); ++i)
+    EXPECT_EQ(reads[i], units[read_index[i]].unit);
+}
+
+/// Every survivor of a decode of `pos`, in position order: the read set
+/// before decodes listed only the units they use (no spare redirects yet,
+/// so a unit is lost exactly when its disk failed).
+std::vector<Physical> every_survivor(const Array& array,
+                                     std::uint32_t stripe,
+                                     std::uint32_t pos) {
+  const layout::Stripe& st = array.layout().stripes()[stripe];
+  const auto& spares = array.spare_positions();
+  std::vector<Physical> units;
+  for (std::uint32_t p = 0; p < st.units.size(); ++p) {
+    if (p == pos || (!spares.empty() && p == spares[stripe])) continue;
+    if (array.disk_states()[st.units[p].disk] == DiskState::kFailed) continue;
+    units.push_back({st.units[p].disk, st.units[p].offset});
+  }
+  return units;
+}
+
+/// Checks every rebuild step and every degraded read of `array` under
+/// `failed`; returns the plan's total reads.
+std::uint64_t check_decode_sets(const Array& base,
+                                const std::vector<layout::DiskId>& failed) {
+  Array array = base;
+  for (const layout::DiskId disk : failed) {
+    EXPECT_TRUE(array.fail_disk(disk).ok());
+    EXPECT_TRUE(array.replace_disk(disk).ok());
+  }
+  const bool xor_parity = array.num_parity_units() == 1;
+  std::vector<std::uint32_t> all_reads(array.num_disks(), 0);
+  const auto plan = array.plan_rebuild();
+  EXPECT_TRUE(plan.ok());
+  if (!plan.ok()) return 0;
+  std::uint64_t total = 0;
+  std::vector<std::uint32_t> counted(array.num_disks(), 0);
+  for (const RebuildStep& step : plan->steps) {
+    SCOPED_TRACE("stripe " + std::to_string(step.stripe));
+    expect_minimal_decode(array, step.stripe, step.target_index, step.reads,
+                          step.read_indices, step.num_erased, all_reads);
+    EXPECT_EQ(step.erased_index[0], step.target_index);
+    if (xor_parity) {
+      EXPECT_EQ(step.reads, every_survivor(array, step.stripe, step.lost_pos));
+    }
+    for (const Physical& read : step.reads) ++counted[read.disk];
+    total += step.reads.size();
+  }
+  EXPECT_EQ(plan->reads_per_disk, counted);
+  for (std::uint32_t d = 0; d < array.num_disks(); ++d)
+    EXPECT_LE(plan->reads_per_disk[d], all_reads[d]) << "disk " << d;
+
+  std::vector<Physical> survivors(array.max_stripe_size());
+  std::vector<std::uint32_t> index(array.max_stripe_size());
+  std::vector<std::uint32_t> unused(array.num_disks(), 0);
+  for (std::uint64_t l = 0; l < array.data_units_per_iteration(); ++l) {
+    const auto read = array.locate(l, survivors, index);
+    EXPECT_TRUE(read.ok());
+    if (!read.ok() || read->kind != ReadPlan::Kind::kDegraded) continue;
+    SCOPED_TRACE("logical " + std::to_string(l));
+    const Array::LogicalRef ref = array.logical_ref(l);
+    const std::span<const Physical> reads(survivors.data(),
+                                          read->num_survivors);
+    expect_minimal_decode(array, ref.stripe, read->erased_index[0], reads,
+                          {index.data(), read->num_survivors},
+                          read->num_erased, unused);
+    if (xor_parity) {
+      EXPECT_EQ(std::vector<Physical>(reads.begin(), reads.end()),
+                every_survivor(array, ref.stripe, ref.pos));
+    }
+  }
+  return total;
+}
+
+TEST(ArrayDecodeSets, ReedSolomonReadsOnlyWhatTheDecodeUses) {
+  // RS P+Q on BIBD(17,5): a single failure's rebuild reads num_data = 3
+  // units per lost stripe instead of all 4 survivors -- 60 reads, not
+  // 80 -- and no survivor reads more than with every survivor read.
+  const auto array =
+      Array::create({.num_disks = 17, .stripe_size = 5}, {},
+                    {.construction = Construction::kBibdPerfect,
+                     .codec = core::CodecKind::kReedSolomonPQ});
+  ASSERT_TRUE(array.ok()) << array.status().to_string();
+  for (layout::DiskId a = 0; a < array->num_disks(); ++a) {
+    SCOPED_TRACE("failed disk " + std::to_string(a));
+    EXPECT_EQ(check_decode_sets(*array, {a}), 60u);
+    for (layout::DiskId b = a + 1; b < array->num_disks(); ++b) {
+      SCOPED_TRACE("and disk " + std::to_string(b));
+      check_decode_sets(*array, {a, b});
+    }
+  }
+}
+
+TEST(ArrayDecodeSets, ZeroDataStripesReadNothing) {
+  // Disk removal at (9, 4) under RS leaves 2-unit stripes of P and Q
+  // alone: rebuilding either reads nothing and re-encodes zero.
+  const auto array = Array::create({.num_disks = 9, .stripe_size = 4}, {},
+                                   {.construction = Construction::kRemoval,
+                                    .codec = core::CodecKind::kReedSolomonPQ});
+  ASSERT_TRUE(array.ok()) << array.status().to_string();
+  std::uint32_t zero_data = 0;
+  for (std::uint32_t s = 0; s < array->num_stripes(); ++s)
+    zero_data += array->stripe_data_units(s) == 0;
+  ASSERT_GT(zero_data, 0u);
+  for (layout::DiskId a = 0; a < array->num_disks(); ++a) {
+    SCOPED_TRACE("failed disk " + std::to_string(a));
+    check_decode_sets(*array, {a});
+    for (layout::DiskId b = a + 1; b < array->num_disks(); ++b) {
+      SCOPED_TRACE("and disk " + std::to_string(b));
+      check_decode_sets(*array, {a, b});
+    }
+  }
+}
+
+TEST(ArrayDecodeSets, XorPlansReadEverySurvivorInPositionOrder) {
+  for (const SparingMode sparing :
+       {SparingMode::kNone, SparingMode::kDistributed}) {
+    for (const Construction construction :
+         {Construction::kBibdPerfect, Construction::kRemoval}) {
+      const auto array = Array::create({.num_disks = 17, .stripe_size = 5},
+                                       {},
+                                       {.sparing = sparing,
+                                        .construction = construction});
+      ASSERT_TRUE(array.ok()) << array.status().to_string();
+      for (layout::DiskId a = 0; a < array->num_disks(); ++a) {
+        SCOPED_TRACE(core::construction_name(construction) + " disk " +
+                     std::to_string(a));
+        check_decode_sets(*array, {a});
+      }
+    }
   }
 }
 

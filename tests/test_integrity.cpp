@@ -130,9 +130,10 @@ TEST(Integrity, OnMediaRotIsDetectedHealedInPlace) {
   // the codec, heal the media, retry.
   expect_canonical(*store, logical);
   IntegrityStats stats = store->integrity_stats();
-  // Mismatch counts are detection EVENTS (the foreground read detects,
-  // then the heal pass re-verifies the instance), so >= 1, not == 1.
-  EXPECT_GE(stats.mismatches, 1u);
+  // One rotten unit counts once: the read that finds it counts it, and
+  // the heal that follows re-verifies the instance without counting it
+  // again.
+  EXPECT_EQ(stats.mismatches, 1u);
   EXPECT_EQ(stats.healed, 1u);
   EXPECT_EQ(stats.unhealable, 0u);
   const std::uint64_t detections = stats.mismatches;
@@ -178,8 +179,8 @@ TEST(Integrity, DegradedReadVerifiesSurvivorsAndHeals) {
 
   expect_canonical(*store, degraded_logical);
   const IntegrityStats stats = store->integrity_stats();
-  EXPECT_GE(stats.mismatches, 1u);
-  EXPECT_GE(stats.healed, 1u);
+  EXPECT_EQ(stats.mismatches, 1u);
+  EXPECT_EQ(stats.healed, 1u);
   EXPECT_EQ(stats.unhealable, 0u);
 }
 
@@ -212,9 +213,34 @@ TEST(Integrity, RotBeyondTheCodecBudgetSurfaces) {
   std::vector<std::uint8_t> unit(store->unit_bytes());
   const Status status = store->read(logical, unit);
   EXPECT_EQ(status.code(), StatusCode::kChecksumMismatch);
+  // Two rotten units, each counted once: the read finds its own unit,
+  // the heal finds the other and gives up.
   const IntegrityStats stats = store->integrity_stats();
-  EXPECT_GE(stats.mismatches, 1u);
-  EXPECT_GE(stats.unhealable, 1u);
+  EXPECT_EQ(stats.mismatches, 2u);
+  EXPECT_EQ(stats.unhealable, 1u);
+}
+
+TEST(Integrity, TransientFlipCountsOnceAndHealsNothing) {
+  // A flip in the read buffer, not on media: the read that sees it
+  // counts one mismatch, and the heal finds the media clean.
+  auto fault = std::make_unique<FaultInjectionBackend>(
+      make_memory_backend(), FaultInjectionOptions{.seed = kSeed});
+  FaultInjectionBackend* fault_ptr = fault.get();
+  auto store = make_store(core::CodecKind::kReedSolomonPQ, true,
+                          std::move(fault));
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(
+      fill_canonical(*store, 0, store->num_logical_units(), kSeed).ok());
+  const std::uint64_t next_read[] = {fault_ptr->stats().reads + 1};
+  fault_ptr->arm_rot_on_reads(next_read);
+
+  expect_canonical(*store, 5);
+  expect_canonical(*store, 5);
+  const IntegrityStats stats = store->integrity_stats();
+  EXPECT_EQ(fault_ptr->stats().injected_bit_flips, 1u);
+  EXPECT_EQ(stats.mismatches, 1u);
+  EXPECT_EQ(stats.healed, 0u);
+  EXPECT_EQ(stats.unhealable, 0u);
 }
 
 TEST(Integrity, ScrubAdoptsUnverifiedUnitsExactlyOnce) {
@@ -318,7 +344,7 @@ TEST(Integrity, ChecksumRegionRoundTripsFileReopen) {
     rot_unit(*store, store->array().map(1));
     expect_canonical(*store, 1);
     stats = store->integrity_stats();
-    EXPECT_GE(stats.mismatches, 1u);
+    EXPECT_EQ(stats.mismatches, 1u);
     EXPECT_EQ(stats.healed, 1u);
   }
   std::error_code ec;
