@@ -101,6 +101,32 @@ using layout::StripeUnit;
   return OkStatus();
 }
 
+/// A built layout fits the codec when each stripe holds its m parity
+/// units plus, under distributed sparing, the spare, and the layout
+/// holds some data.  A stripe of parity alone is legal: it reads nothing
+/// and re-encodes zero.  Checked before sparing is derived and before
+/// the Array constructor reads m parity positions per stripe.
+[[nodiscard]] Status validate_built_fit(const BuiltLayout& built,
+                                        bool spared, core::CodecKind codec) {
+  const std::uint32_t m = core::codec_for(codec).num_parity();
+  const std::size_t overhead = m + (spared ? 1 : 0);
+  const auto misfit = [&](const std::string& why) {
+    return Status::unsupported(core::construction_name(built.construction) +
+                               " (" + built.description + ") " + why +
+                               " under " +
+                               std::string(core::codec_kind_name(codec)) +
+                               (spared ? " with distributed sparing" : ""));
+  };
+  for (const Stripe& st : built.layout.stripes())
+    if (st.units.size() < overhead)
+      return misfit("has a stripe of " + std::to_string(st.units.size()) +
+                    " units, too few for " + std::to_string(m) +
+                    " parity units" + (spared ? " and a spare" : ""));
+  if (count_data_units(built.layout, spared, m) == 0)
+    return misfit("holds no data units");
+  return OkStatus();
+}
+
 }  // namespace
 
 std::string_view disk_state_name(DiskState state) noexcept {
@@ -211,6 +237,9 @@ Result<Array> Array::create_with(engine::Engine& engine,
           " does not apply at v=" + std::to_string(spec.num_disks) +
           " k=" + std::to_string(spec.stripe_size) + " under the options");
     built = std::make_shared<const BuiltLayout>(std::move(*b));
+    if (Status fit = validate_built_fit(*built, spare, options.codec);
+        !fit.ok())
+      return fit;
     if (spare)
       spared = std::make_shared<const SparedLayout>(
           layout::add_distributed_sparing(built->layout));
@@ -222,6 +251,9 @@ Result<Array> Array::create_with(engine::Engine& engine,
       auto b = engine.build(spec, build);
       if (!b.ok()) return b.status();
       built = std::move(b).value();
+      if (Status fit = validate_built_fit(*built, spare, options.codec);
+          !fit.ok())
+        return fit;
       if (spare) {
         auto s = engine.build_spared(spec, build);
         if (!s.ok()) return s.status();

@@ -7,6 +7,7 @@
 #include "core/codec.hpp"
 #include "core/crc32c.hpp"
 #include "core/xor_codec.hpp"
+#include "io/parallel_for.hpp"
 
 namespace pdl::io {
 
@@ -61,6 +62,51 @@ void decode_unit(const core::Codec& codec, std::uint32_t num_data,
                     {outs.data(), erased_index.size()});
 }
 
+/// Bytes each lane of a rebuild chunk must move -- survivors read plus
+/// targets written -- for the chunk's stage and commit to fan out over
+/// that many lanes.  Measured on a shared 4-vCPU VM whose host lent it
+/// between one and four cores' worth of time: 3.3 MB Reed-Solomon
+/// chunks (204 instances of 4 KiB units, three survivors each) rebuilt
+/// about twice as fast on four lanes when the cores were there and up
+/// to 7% slower when they were not.  1 MiB XOR chunks (51 instances,
+/// four survivors each) gained 20-34% on three lanes when the cores
+/// were there but lost 3-23% on two or three when they were not, so
+/// chunks that small stay on one lane.
+constexpr std::uint64_t kLaneBytes = 768 * 1024;
+
+/// How many lanes a rebuild chunk's stage and commit split its (stripe,
+/// iteration) instances over: one per kLaneBytes the chunk moves
+/// (parallel_for caps it at the CPUs).
+[[nodiscard]] std::size_t rebuild_lanes(
+    std::span<const api::RebuildStep> steps, std::uint32_t iterations,
+    std::uint32_t unit_bytes) {
+  std::uint64_t units = 0;
+  for (const api::RebuildStep& step : steps) units += step.reads.size() + 1;
+  return static_cast<std::size_t>(std::max<std::uint64_t>(
+      1, units * iterations * unit_bytes / kLaneBytes));
+}
+
+/// Calls fn(step, target, first) for a rebuild chunk's (stripe,
+/// iteration) instances [begin, end), in the stage's step-major order:
+/// `target` is the instance's index and `first` the index of its first
+/// survivor in the stage's gather.
+template <class Fn>
+void for_each_instance(std::span<const api::RebuildStep> steps,
+                       std::uint32_t iterations, std::size_t begin,
+                       std::size_t end, Fn&& fn) {
+  std::size_t target = 0;
+  std::size_t first = 0;
+  for (const api::RebuildStep& step : steps) {
+    if (target >= end) return;
+    const std::size_t n = step.reads.size();
+    for (std::size_t t = std::max(begin, target);
+         t < std::min<std::size_t>(end, target + iterations); ++t)
+      fn(step, t, first + (t - target) * n);
+    target += iterations;
+    first += n * iterations;
+  }
+}
+
 /// Whether a rebuild step must TRUST parity bytes (it decodes at least
 /// one data unit) as opposed to merely re-encoding parity from data.
 [[nodiscard]] bool step_decodes_data(const api::RebuildStep& step) {
@@ -94,6 +140,7 @@ struct StripeStore::Txn {
     std::vector<std::pair<std::uint32_t, std::span<const std::uint8_t>>>
         writes;
     std::vector<std::array<std::uint8_t, 4>> words;  ///< staged CRC words
+    std::vector<std::uint32_t> crcs;  ///< gathered units' CRCs, per unit
     std::vector<std::uint8_t> staging;  ///< gathered bytes without views
     std::vector<std::uint8_t> scratch;  ///< bytes the transaction computes
   };
@@ -227,7 +274,8 @@ Status StripeStore::gather(Txn& txn, IoClass io_class, bool verify) {
 }
 
 Status StripeStore::verify_units(Txn& txn, std::size_t first,
-                                 std::size_t count, const Txn* counted) {
+                                 std::size_t count, const Txn* counted,
+                                 std::span<const std::uint32_t> taken) {
   if (!integrity_) return OkStatus();
   Status mismatch;
   for (std::size_t i = first; i < first + count; ++i) {
@@ -235,7 +283,9 @@ Status StripeStore::verify_units(Txn& txn, std::size_t first,
     const Physical p = txn.unit(i);
     const std::uint32_t stored = crc_[p.disk][p.offset];
     if (stored == 0) continue;  // unverified: no claim to check against
-    if (core::crc32c_nonzero(txn.bytes(i)) == stored) {
+    const std::uint32_t crc =
+        taken.empty() ? core::crc32c_nonzero(txn.bytes(i)) : taken[i];
+    if (crc == stored) {
       sync_->crc_verified.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
@@ -1217,12 +1267,15 @@ Status StripeStore::stage_steps(Txn& txn,
   // The ENTIRE survivor fan-in -- every survivor of every step and
   // iteration -- is one kRebuild-tagged gather (so a rebuild-
   // deprioritizing scheduler can hold it behind foreground I/O).  Then
-  // one pass per stripe instance: its survivors are checked right
-  // before its decode reads them, and the rebuilt unit's CRC word is
-  // taken while the unit is still hot.  Both stay in the transaction,
-  // which the caller keeps alive through the commit.  A mismatch is
-  // recorded on the transaction (heal_staged finds it there); it stops
-  // the decodes but not the checks, so one heal round sees all the rot.
+  // one pass per stripe instance, split over lanes in contiguous ranges:
+  // a lane checks the instance's survivors right before its decode reads
+  // them, decodes it into the instance's own slice of scratch, and takes
+  // the rebuilt unit's CRC word while the unit is still hot.  Lanes take
+  // no locks -- the caller's hold covers them -- and count nothing: the
+  // checks are counted after the join, in index order, so each rotten
+  // unit counts once.  A mismatch is recorded on the transaction
+  // (heal_staged finds it there); every instance is checked, so one heal
+  // round sees all the rot.
   for (const api::RebuildStep& step : steps)
     for (std::uint32_t it = 0; it < iterations_; ++it) {
       const std::uint64_t lift =
@@ -1235,34 +1288,43 @@ Status StripeStore::stage_steps(Txn& txn,
     return fanned;
   const std::size_t targets = steps.size() * iterations_;
   const auto rebuilt = txn.scratch(targets);
-  if (integrity_) txn.buf.words.resize(targets);
-  Status first;
-  std::size_t next = 0;
-  std::size_t target = 0;
-  for (const api::RebuildStep& step : steps) {
-    const std::size_t n = step.reads.size();
-    for (std::uint32_t it = 0; it < iterations_; ++it, next += n, ++target) {
-      if (Status checked = verify_units(txn, next, n); !checked.ok()) {
-        if (first.ok()) first = std::move(checked);
-        continue;
-      }
-      if (!first.ok()) continue;
-      const auto out = unit_slice(rebuilt, target, unit_bytes_);
-      decode_unit(array_.codec(), step.num_data, txn.bytes(next, n),
-                  step.read_indices,
-                  {step.erased_index.data(), step.num_erased}, out);
-      if (integrity_) {
-        const std::uint32_t crc = core::crc32c_nonzero(out);
-        std::memcpy(txn.buf.words[target].data(), &crc, 4);
-      }
-    }
+  if (integrity_) {
+    txn.buf.words.resize(targets);
+    txn.buf.crcs.resize(txn.size());
   }
-  return first;
+  const auto stage = [&](const api::RebuildStep& step, std::size_t target,
+                         std::size_t first) {
+    const std::size_t n = step.reads.size();
+    bool clean = true;
+    if (integrity_)
+      for (std::size_t i = first; i < first + n; ++i) {
+        const Physical p = txn.unit(i);
+        const std::uint32_t stored = crc_[p.disk][p.offset];
+        if (stored == 0) continue;  // unverified
+        txn.buf.crcs[i] = core::crc32c_nonzero(txn.bytes(i));
+        clean = clean && txn.buf.crcs[i] == stored;
+      }
+    if (!clean) return;
+    const auto out = unit_slice(rebuilt, target, unit_bytes_);
+    decode_unit(array_.codec(), step.num_data, txn.bytes(first, n),
+                step.read_indices, {step.erased_index.data(), step.num_erased},
+                out);
+    if (integrity_) {
+      const std::uint32_t crc = core::crc32c_nonzero(out);
+      std::memcpy(txn.buf.words[target].data(), &crc, 4);
+    }
+  };
+  parallel_for(targets, rebuild_lanes(steps, iterations_, unit_bytes_),
+               [&](std::size_t begin, std::size_t end) {
+                 for_each_instance(steps, iterations_, begin, end, stage);
+               });
+  return verify_units(txn, 0, txn.size(), nullptr, txn.buf.crcs);
 }
 
 Status StripeStore::commit_steps(Txn& txn,
                                  std::span<const api::RebuildStep> steps) {
-  const auto rebuilt = txn.scratch(steps.size() * iterations_);
+  const std::size_t targets = steps.size() * iterations_;
+  const auto rebuilt = txn.scratch(targets);
   std::vector<IoRequest>& batch = txn.buf.requests;
   batch.clear();
   for (const api::RebuildStep& step : steps)
@@ -1274,13 +1336,26 @@ Status StripeStore::commit_steps(Txn& txn,
           byte_offset(step.target.offset + lift),
           unit_slice(rebuilt, batch.size(), unit_bytes_)));
     }
-  // Rebuilt targets carry the checksums stage_steps took in the same
-  // batch.  (Not journaled: a crash here leaves at most target units
+  // Rebuilt targets carry the checksums stage_steps took.  The lanes
+  // split the instances as stage_steps did; each writes its slice of the
+  // targets, then their CRC words, and every request keeps its own
+  // status.  (Not journaled: a crash here leaves at most target units
   // checksum-stale, which the reopen-time heal reconstructs -- rebuild
   // is re-runnable anyway.)
   stage_crc_words(txn, IoClass::kRebuild);
-  if (Status stored = backend_->execute_batch(batch); !stored.ok())
-    return stored;
+  const std::span<IoRequest> units(batch.data(), targets);
+  const std::span<IoRequest> words(batch.data() + targets,
+                                   batch.size() - targets);
+  parallel_for(targets, rebuild_lanes(steps, iterations_, unit_bytes_),
+               [&](std::size_t begin, std::size_t end) {
+                 (void)backend_->execute_batch(
+                     units.subspan(begin, end - begin));
+                 if (!words.empty())
+                   (void)backend_->execute_batch(
+                       words.subspan(begin, end - begin));
+               });
+  for (const IoRequest& request : batch)
+    if (!request.status.ok()) return request.status;
   record_crc_words(txn);
   // The landed target bytes are survivor bytes from any OTHER
   // rebuilder's perspective: bump the epoch so a concurrently staged

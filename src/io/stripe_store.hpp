@@ -79,6 +79,13 @@
 /// chunk goes back to the kept steps and the next one is applied under
 /// the exclusive lock, so progress is always guaranteed.  Writes leave
 /// the kept steps valid; only fail_disk and replace_disk drop them.
+/// A chunk that moves enough bytes splits the byte work of both halves
+/// -- the survivor CRC checks and decodes, then the target writes --
+/// over parallel_for's lanes (io/parallel_for.hpp), one contiguous
+/// range of stripe instances each.  The rebuilder's thread holds the
+/// locks across each round and the lanes take none; the gather, the
+/// epoch check, the integrity counting and the state transition stay
+/// on that thread.
 ///
 /// Address space: logical units 0 .. num_logical_units()-1, each
 /// unit_bytes() wide; the layout tiles vertically `iterations` times, so
@@ -302,7 +309,11 @@ class StripeStore {
   /// competing in the backend's disk queues -- and each stripe
   /// instance's survivors are CRC-checked right before its decode; only
   /// the short commit (target writes + state transition) excludes
-  /// foreground traffic.  See the file comment for the validation
+  /// foreground traffic.  A chunk that moves enough bytes splits its
+  /// instances' checks, decodes and target writes over parallel_for's
+  /// lanes, one contiguous range each, while the calling thread holds
+  /// the locks; a second rebuilder that finds the lanes busy does its
+  /// chunk on its own thread.  See the file comment for the validation
   /// protocol.  Drive it from one or more rebuilder threads for online
   /// rebuild.
   [[nodiscard]] Result<std::uint64_t> rebuild_some(
@@ -430,10 +441,14 @@ class StripeStore {
   /// Each rotten unit counts once in IntegrityStats::mismatches: not
   /// again when txn gathered it twice, nor when `counted` -- the
   /// transaction of the read, write or rebuild whose check led to this
-  /// one -- already found it.  No-op when the layer is off.
+  /// one -- already found it.  `taken`, when not empty, holds each
+  /// unit's CRC by transaction index, already computed (rebuild
+  /// staging's lanes take them); otherwise they are computed here.
+  /// No-op when the layer is off.
   [[nodiscard]] Status verify_units(Txn& txn, std::size_t first,
                                     std::size_t count,
-                                    const Txn* counted = nullptr);
+                                    const Txn* counted = nullptr,
+                                    std::span<const std::uint32_t> taken = {});
   /// gather(verify=true) for a caller holding `instance` exclusively:
   /// rot in the gathered units is healed through the codec
   /// (heal_instance_locked, which does not count it again) and the
@@ -517,20 +532,25 @@ class StripeStore {
   [[nodiscard]] bool step_trusts_torn(const api::RebuildStep& step) const;
   /// Rebuild staging: gathers every survivor of every step (all
   /// iterations) in one kRebuild-tagged transaction, then makes one
-  /// pass per stripe instance: checks its survivors (verify_units) and
-  /// decodes its target into the transaction's scratch, taking the
-  /// target's CRC word while the bytes are hot.  The transaction must
-  /// stay alive through commit_steps.  kChecksumMismatch when any
-  /// instance's survivors failed verification (each mismatch stays
-  /// recorded for heal_staged).  Caller holds the state lock (shared or
-  /// exclusive) and, when shared, the steps' stripe shard locks.
+  /// pass per stripe instance, split over parallel_for lanes in
+  /// contiguous ranges of instances: a lane checks the instance's
+  /// survivors' CRCs and decodes its target into the instance's slice
+  /// of the transaction's scratch, taking the target's CRC word while
+  /// the bytes are hot.  The checks are counted after the join, in
+  /// index order (verify_units).  The transaction must stay alive
+  /// through commit_steps.  kChecksumMismatch when any instance's
+  /// survivors failed verification (each mismatch stays recorded for
+  /// heal_staged).  Caller holds the state lock (shared or exclusive)
+  /// and, when shared, the steps' stripe shard locks, across the whole
+  /// call; the lanes take no locks.
   [[nodiscard]] Status stage_steps(Txn& txn,
                                    std::span<const api::RebuildStep> steps);
   /// Rebuild commit: writes the staged targets and the CRC words
-  /// stage_steps took in one batch -- not journaled and not rolled back:
-  /// a target is not a
-  /// content unit until its step is applied, and rebuild re-runs --
-  /// then advances the array's rebuild state.  Caller holds the
+  /// stage_steps took -- each of stage_steps' lanes passes its slice of
+  /// both to the backend -- not journaled and not rolled back: a target
+  /// is not a content unit until its step is applied, and rebuild
+  /// re-runs.  After the join it records the CRC words, bumps the write
+  /// epoch and advances the array's rebuild state.  Caller holds the
   /// exclusive state lock and has validated the steps (or never
   /// released the lock).
   [[nodiscard]] Status commit_steps(Txn& txn,

@@ -122,6 +122,50 @@ TEST(ArrayCreate, DistributedSparingNeedsRoomForData) {
             spared->layout().num_stripes());
 }
 
+TEST(ArrayCreate, RemovalStripesTooShortForParityAndSpareAreUnsupported) {
+  // Disk removal at (9, 4) leaves 2-unit stripes: room for P and Q, which
+  // ArrayDecodeSets.ZeroDataStripesReadNothing keeps legal, but not for a
+  // spare as well.
+  const auto array =
+      Array::create({9, 4}, {},
+                    {.sparing = SparingMode::kDistributed,
+                     .construction = Construction::kRemoval,
+                     .codec = core::CodecKind::kReedSolomonPQ});
+  ASSERT_FALSE(array.ok());
+  EXPECT_EQ(array.status().code(), StatusCode::kUnsupported)
+      << array.status().to_string();
+}
+
+TEST(ArrayCreate, PinnedRemovalUnderReedSolomonWithSparingIsOkOrTyped) {
+  // Every pinned removal layout under RS with distributed sparing either
+  // builds an array that survives two failures, or says why it cannot.
+  for (std::uint32_t v = 4; v <= 40; ++v)
+    for (std::uint32_t k = 3; k <= 8 && k <= v; ++k) {
+      SCOPED_TRACE("v=" + std::to_string(v) + " k=" + std::to_string(k));
+      auto array =
+          Array::create({v, k}, {},
+                        {.sparing = SparingMode::kDistributed,
+                         .construction = Construction::kRemoval,
+                         .codec = core::CodecKind::kReedSolomonPQ});
+      if (!array.ok()) {
+        EXPECT_TRUE(array.status().code() == StatusCode::kUnsupported ||
+                    array.status().code() == StatusCode::kInvalidArgument)
+            << array.status().to_string();
+        continue;
+      }
+      for (const layout::Stripe& stripe : array->layout().stripes())
+        ASSERT_GE(stripe.units.size(), 3u);  // P, Q and the spare
+      ASSERT_TRUE(array->fail_disk(0).ok());
+      ASSERT_TRUE(array->rebuild().ok());
+      ASSERT_TRUE(array->fail_disk(1).ok());
+      EXPECT_FALSE(array->data_loss());
+      ASSERT_TRUE(array->replace_disk(0).ok());
+      ASSERT_TRUE(array->replace_disk(1).ok());
+      ASSERT_TRUE(array->rebuild().ok());
+      EXPECT_TRUE(array->healthy());
+    }
+}
+
 // ------------------------------------------------------------- address ops
 
 TEST(ArrayAddress, MapAgreesWithAddressMapper) {

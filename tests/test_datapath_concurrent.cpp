@@ -329,6 +329,79 @@ TEST(DatapathConcurrent, TwoRebuildersShareOnePlan) {
   EXPECT_EQ(*inconsistent, 0u);
 }
 
+TEST(DatapathConcurrent, LaneSizedRebuildersBesideAClient) {
+  // Stripe instances big enough that every rebuild chunk fans out over
+  // parallel_for's lanes (768 KiB each, kLaneBytes in stripe_store.cpp):
+  // the (16, 4) BIBD layout under RS reads 2 survivors and writes 1
+  // target per instance, so a one-step chunk of 128 instances of 4 KiB
+  // units moves 1.5 MiB, two lanes' worth.  Its instances fall on 16
+  // lock shards, so both rebuild_some(1) loops stage under the shared
+  // state lock side by side, and one that finds the lanes busy does its
+  // chunk on its own thread.  Every disk fails and is rebuilt in turn
+  // while a client writes and verifies.
+  auto array = api::Array::create(
+      {.num_disks = 16, .stripe_size = 4}, {},
+      {.construction = core::Construction::kBibdFlow,
+       .codec = core::CodecKind::kReedSolomonPQ,
+       .integrity = true});
+  ASSERT_TRUE(array.ok()) << array.status().to_string();
+  auto store = StripeStore::create(std::move(array).value(),
+                                   {.unit_bytes = 4096, .iterations = 128});
+  ASSERT_TRUE(store.ok()) << store.status().to_string();
+  const std::uint64_t n = store->num_logical_units();
+  ASSERT_TRUE(fill_canonical(*store, 0, n, kSeed).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> client_failures{0};
+  std::thread client([&] {
+    std::mt19937_64 rng(kSeed * 17);
+    std::vector<std::uint8_t> unit(store->unit_bytes());
+    std::vector<std::uint8_t> expected(store->unit_bytes());
+    for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      const std::uint64_t logical = rng() % n;
+      canonical_fill(logical, kSeed, expected);
+      if (i % 3 == 0) {
+        if (!store->write(logical, expected).ok()) ++client_failures;
+        continue;
+      }
+      if (!store->read(logical, unit).ok() || unit != expected)
+        ++client_failures;
+    }
+  });
+
+  for (layout::DiskId disk = 0; disk < 16; ++disk) {
+    ASSERT_TRUE(store->fail_disk(disk).ok());
+    ASSERT_TRUE(store->replace_disk(disk).ok());
+    std::atomic<std::uint64_t> rebuild_errors{0};
+    std::atomic<std::uint64_t> repaired{0};
+    std::vector<std::thread> rebuilders;
+    for (int r = 0; r < 2; ++r)
+      rebuilders.emplace_back([&] {
+        for (;;) {
+          const auto applied = store->rebuild_some(1);
+          if (!applied.ok()) {
+            ++rebuild_errors;
+            return;
+          }
+          if (*applied == 0) return;
+          repaired += *applied;
+        }
+      });
+    for (auto& rebuilder : rebuilders) rebuilder.join();
+    EXPECT_EQ(rebuild_errors.load(), 0u) << "disk " << disk;
+    EXPECT_EQ(repaired.load(), store->array().units_per_disk())
+        << "disk " << disk;
+    EXPECT_TRUE(store->array().healthy()) << "disk " << disk;
+  }
+  stop.store(true);
+  client.join();
+
+  EXPECT_EQ(client_failures.load(), 0u);
+  const auto inconsistent = store->verify_stripes();
+  ASSERT_TRUE(inconsistent.ok());
+  EXPECT_EQ(*inconsistent, 0u);
+}
+
 /// Decorator that stalls every rebuild batch -- the survivor gather and
 /// the target writes -- for a moment.  It exposes no memory views, so
 /// the store's gathers reach execute_batch.  Rebuilders then queue on

@@ -623,5 +623,144 @@ TEST(DatapathDifferential, FailAndReplaceDropTheKeptPlan) {
   EXPECT_EQ(*after, *oracle);
 }
 
+// ------------------------------------------------ rebuild lanes
+//
+// A rebuild chunk splits its stripe instances' checks, decodes and
+// target writes over parallel_for lanes, one contiguous range each, once
+// it moves 768 KiB per lane (kLaneBytes in stripe_store.cpp).  These
+// stores make every chunk, even a one-step chunk, fan out: the BIBD
+// layout at (16, 4) has 5 units per disk and 20 stripes, and with 4 KiB
+// units and 192 iterations a step covers 192 instances.  The thinnest
+// case, Reed-Solomon with a distributed spare, reads 1 survivor and
+// writes 1 target per instance: 192 x 2 x 4 KiB = 1.5 MiB, two lanes'
+// worth; XOR without a spare reads 3 and moves 3 MiB, four lanes'
+// worth.  A one-step chunk's 192 instances fall on 16 of the 64 lock
+// shards (20 stripes per iteration), so rebuild_some(1) stages it under
+// the shared state lock; rebuild()'s multi-step chunks span more shards
+// and are staged under the exclusive one.  Each store is 60 MiB.
+
+constexpr std::uint32_t kLaneUnitBytes = 4096;
+constexpr std::uint32_t kLaneIterations = 192;
+
+Result<StripeStore> make_lane_store(api::SparingMode sparing,
+                                    core::CodecKind codec) {
+  auto array = api::Array::create(
+      {16, 4}, {},
+      {.sparing = sparing,
+       .construction = core::Construction::kBibdFlow,
+       .codec = codec,
+       .integrity = codec == core::CodecKind::kReedSolomonPQ});
+  if (!array.ok()) return array.status();
+  auto store = StripeStore::create(
+      std::move(array).value(),
+      {.unit_bytes = kLaneUnitBytes, .iterations = kLaneIterations});
+  if (!store.ok()) return store.status();
+  if (Status filled =
+          fill_canonical(*store, 0, store->num_logical_units(), kSeed);
+      !filled.ok())
+    return filled;
+  return store;
+}
+
+void expect_consistent(StripeStore& store, const std::string& context) {
+  const auto inconsistent = store.verify_stripes();
+  ASSERT_TRUE(inconsistent.ok()) << context;
+  EXPECT_EQ(*inconsistent, 0u) << context;
+  expect_canonical_store(store, context);
+}
+
+TEST(DatapathDifferential, LaneSizedRebuildsRestoreEveryByte) {
+  for (const core::CodecKind codec :
+       {core::CodecKind::kXorParity, core::CodecKind::kReedSolomonPQ}) {
+    for (const api::SparingMode sparing :
+         {api::SparingMode::kNone, api::SparingMode::kDistributed}) {
+      std::vector<std::vector<layout::DiskId>> scenarios = {{3}};
+      if (codec == core::CodecKind::kReedSolomonPQ)
+        scenarios.push_back({3, 11});
+      for (const auto& failed : scenarios) {
+        const std::string context =
+            std::string(core::codec_kind_name(codec)) +
+            (sparing == api::SparingMode::kDistributed ? "/distributed"
+                                                       : "/in-place") +
+            " failures=" + std::to_string(failed.size());
+        auto store = make_lane_store(sparing, codec);
+        ASSERT_TRUE(store.ok()) << context << ": "
+                                << store.status().to_string();
+        const auto oracle = store->checksum_disks();
+        ASSERT_TRUE(oracle.ok()) << context;
+        for (const layout::DiskId disk : failed)
+          ASSERT_TRUE(store->fail_disk(disk).ok()) << context;
+        // One failure drains one-step chunks (shared stage); two go
+        // through rebuild()'s multi-step chunks (exclusive stage).  Returns
+        // the units left waiting for a replacement.
+        const auto repair = [&]() -> std::uint64_t {
+          if (failed.size() == 1) return drain_one_by_one(*store);
+          const auto outcome = store->rebuild();
+          EXPECT_TRUE(outcome.ok()) << context;
+          return outcome.ok() ? outcome->blocked : ~0ull;
+        };
+        if (sparing == api::SparingMode::kDistributed) {
+          (void)repair();  // into the spares
+          EXPECT_FALSE(store->array().data_loss()) << context;
+          expect_consistent(*store, context + " [spared]");
+        }
+        for (const layout::DiskId disk : failed)
+          ASSERT_TRUE(store->replace_disk(disk).ok()) << context;
+        EXPECT_EQ(repair(), 0u) << context;
+        EXPECT_TRUE(store->array().healthy()) << context;
+        expect_consistent(*store, context + " [replaced]");
+        // In place, every disk comes back to its pre-failure image.
+        if (sparing == api::SparingMode::kNone) {
+          const auto after = store->checksum_disks();
+          ASSERT_TRUE(after.ok()) << context;
+          EXPECT_EQ(*after, *oracle) << context;
+        }
+      }
+    }
+  }
+}
+
+TEST(DatapathDifferential, LaneSizedRebuildCountsRotOnceAcrossLanes) {
+  // Rot in one step's survivor at iterations 0, 96 and 191: whether the
+  // step's 192 instances split over two, three or four lanes, the first
+  // and last fall in different lanes.  Each rotten unit counts once and
+  // heals once, and the disk still comes back to its pre-failure image.
+  auto store = make_lane_store(api::SparingMode::kNone,
+                               core::CodecKind::kReedSolomonPQ);
+  ASSERT_TRUE(store.ok()) << store.status().to_string();
+  const auto oracle = store->checksum_disks();
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_TRUE(store->fail_disk(3).ok());
+  ASSERT_TRUE(store->replace_disk(3).ok());
+
+  // The first step rebuild_some claims is the plan's first.
+  const auto plan = store->array().plan_rebuild();
+  ASSERT_TRUE(plan.ok() && !plan->steps.empty());
+  const Physical survivor = plan->steps.front().reads.front();
+  std::uint64_t rotten = 0;
+  for (const std::uint64_t it : {0u, 96u, kLaneIterations - 1}) {
+    const std::uint64_t byte =
+        (survivor.offset + it * store->array().units_per_disk()) *
+        kLaneUnitBytes;
+    std::uint8_t media = 0;
+    ASSERT_TRUE(store->backend().read(survivor.disk, byte, {&media, 1}).ok());
+    media ^= 0x10;
+    ASSERT_TRUE(store->backend().write(survivor.disk, byte, {&media, 1}).ok());
+    ++rotten;
+  }
+  const IntegrityStats before = store->integrity_stats();
+
+  EXPECT_EQ(drain_one_by_one(*store), 0u);
+  const IntegrityStats stats = store->integrity_stats();
+  EXPECT_EQ(stats.mismatches - before.mismatches, rotten);
+  EXPECT_EQ(stats.healed - before.healed, rotten);
+  EXPECT_EQ(stats.unhealable, 0u);
+  EXPECT_TRUE(store->array().healthy());
+  const auto after = store->checksum_disks();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *oracle);
+  expect_consistent(*store, "rot across lanes");
+}
+
 }  // namespace
 }  // namespace pdl::io
